@@ -333,11 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kill-shard-after",
-        type=float,
+        type=int,
         default=None,
-        metavar="S",
-        help="chaos hook: SIGKILL one shard this many seconds in "
-        "(it respawns and resumes from its partition snapshots)",
+        metavar="N",
+        help="chaos hook: SIGKILL the first shard that owns partitions once "
+        "it has resealed N partition snapshots (a progress count, not "
+        "seconds; it respawns and resumes from its partition snapshots)",
     )
     p.add_argument(
         "--max-restarts",
@@ -932,7 +933,7 @@ def _cmd_ingest(args) -> int:
             sharded_dir,
             ShardRunnerOptions(
                 resume=args.resume,
-                kill_shard_after_s=args.kill_shard_after,
+                kill_shard_after_seals=args.kill_shard_after,
                 max_restarts=args.max_restarts,
             ),
         )
@@ -1108,6 +1109,7 @@ def _cmd_serve(args) -> int:
             return 2
     else:
         held_inputs = pipeline.estimator.last_inputs()
+        buffered_history = pipeline.estimator.history() is not None
         for line in sys.stdin:
             line = line.strip()
             if not line:
@@ -1119,6 +1121,7 @@ def _cmd_serve(args) -> int:
                     held_inputs,
                     service.next_request_id(),
                     service.config.max_horizon_ticks,
+                    buffered_history,
                 )
                 service.submit(request)
             except (ValueError, ReproError) as exc:

@@ -223,7 +223,14 @@ def tasks(days: float, seed: int):
     from repro.experiments.graph import Task
 
     shards = [
-        Task(task_id=WARM_TASK_ID, experiment_id="ext-fleet", fn=warm_fleet)
+        # The fleet pass never reads the paper trace, so it can run
+        # while the context task generates it.
+        Task(
+            task_id=WARM_TASK_ID,
+            experiment_id="ext-fleet",
+            fn=warm_fleet,
+            needs_context=False,
+        )
     ]
     shards.extend(
         Task(

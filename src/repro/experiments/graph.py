@@ -18,9 +18,10 @@ reduce:
   ``run()`` produces — byte-identical renders, serial or parallel, any
   shard execution order;
 * a :class:`TaskGraph` holds every plan's tasks plus one shared
-  **context-warming task** (:data:`CONTEXT_TASK_ID`) that feeds all of
-  them, with explicit dependency edges (e.g. ``ext-fleet``'s building
-  fits depend on its fleet-trace warm task).
+  **context-warming task** (:data:`CONTEXT_TASK_ID`) that feeds every
+  task declaring ``needs_context``, with explicit dependency edges
+  (e.g. ``ext-fleet``'s building fits depend on its fleet-trace warm
+  task, which itself never reads the context).
 
 Experiment modules opt into sharding by exposing two hooks::
 
@@ -84,6 +85,9 @@ class Task:
     params: Tuple[Tuple[str, Any], ...] = ()
     #: Ids of tasks that must complete before this one may start.
     deps: Tuple[str, ...] = ()
+    #: Whether ``fn`` reads the shared context; ``build_graph`` makes
+    #: only such tasks wait for :data:`CONTEXT_TASK_ID`.
+    needs_context: bool = True
 
     def execute(self, days: float, seed: int) -> Any:
         """Run the shard in-process and return its partial result."""
@@ -287,9 +291,11 @@ def build_graph(plans: Iterable[ExperimentPlan]) -> TaskGraph:
     """Assemble the full task graph behind a batch of plans.
 
     One shared :data:`CONTEXT_TASK_ID` task is inserted first and added
-    to every shard's dependencies (deduplicated, context first), so the
-    trace is warmed exactly once and every experiment — split or not —
-    observes the identical cached context.
+    to the dependencies of every shard that ``needs_context``
+    (deduplicated, context first), so the trace is warmed exactly once
+    and every experiment — split or not — observes the identical cached
+    context.  Context-free shards (``ext-fleet``'s fleet warm-up) are
+    ready alongside the context task and can run while it integrates.
     """
     graph = TaskGraph()
     graph.add(
@@ -301,7 +307,8 @@ def build_graph(plans: Iterable[ExperimentPlan]) -> TaskGraph:
     )
     for plan in plans:
         for task in plan.shards:
-            deps = tuple(dict.fromkeys((CONTEXT_TASK_ID,) + task.deps))
-            graph.add(task.with_deps(deps))
+            if task.needs_context:
+                task = task.with_deps(tuple(dict.fromkeys((CONTEXT_TASK_ID,) + task.deps)))
+            graph.add(task)
     graph.validate()
     return graph

@@ -17,9 +17,10 @@ cached.  This runner attacks that cost three times over:
   dominant experiments (``table1``, ``robustness``, ``ext-fleet``)
   split into per-cell tasks — and fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` (``--jobs N`` on the
-  CLI) in dependency waves.  The parent warms the shared trace *before*
-  spawning workers, so each worker's :func:`get_context` is a cheap
-  cache read.
+  CLI) in dependency waves.  A cold trace is the graph's context task
+  in the first wave, beside the tasks that declare they do not need it;
+  the parent then loads the trace before the next wave forks, so each
+  worker's :func:`get_context` is a cheap in-memory read.
 * **Cost-aware scheduling.**  Observed per-task wall-clock persists
   through the artifact cache (:mod:`repro.experiments.costs`); each
   wave starts its longest tasks first (LPT), which shrinks the makespan
@@ -255,49 +256,22 @@ def schedule_tasks(
     return [task for _, task in sorted(enumerate(ordered), key=sort_key)]
 
 
-def _generate_trace_worker(days: float, seed: int) -> None:
-    """Child-process entry: generate and persist the shared trace.
-
-    Runs the chunk-streaming generator, so partial progress lands in
-    the artifact cache as 7-day chunk entries even if the parent gives
-    up on the worker.
-    """
-    from repro.data.synth import SynthConfig, generate
-    from repro.simulation.simulator import SimulationConfig
-
-    generate(SynthConfig(simulation=SimulationConfig(days=days, seed=seed), seed=seed))
-
-
-def _start_trace_worker(days: float, seed: int):
-    """Start cold-trace generation in a worker process, or return ``None``.
-
-    Only worth doing when the artifact cache can carry the result back
-    (enabled) and the trace is actually cold.  The caller overlaps
-    cache-independent setup — the experiment-registry import and the
-    package source digest behind the render-key probe — with the
-    worker's integration, then joins before touching the context.  A
-    worker that dies is harmless: ``get_context`` falls back to inline
-    generation (resuming from any chunk entries the worker did seal).
-    """
+def _synth_config(days: float, seed: int):
+    """The synthetic-trace configuration behind ``get_context(days, seed)``."""
     from repro.data.synth import SynthConfig
     from repro.simulation.simulator import SimulationConfig
 
+    return SynthConfig(simulation=SimulationConfig(days=days, seed=seed), seed=seed)
+
+
+def _trace_is_cold(days: float, seed: int) -> bool:
+    """Whether the artifact cache is on but does not hold the trace yet.
+
+    Only then is it worth generating the trace in a pool worker: the
+    cache carries the result back to the parent.
+    """
     cache = default_cache()
-    if not cache.enabled:
-        return None
-    config = SynthConfig(simulation=SimulationConfig(days=days, seed=seed), seed=seed)
-    if cache.contains(config.artifact_key()):
-        return None
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        mp_context = multiprocessing.get_context()
-    worker = mp_context.Process(target=_generate_trace_worker, args=(days, seed), daemon=True)
-    try:
-        worker.start()
-    except OSError:  # pragma: no cover - cannot spawn: overlap is best-effort
-        return None
-    return worker
+    return cache.enabled and not cache.contains(_synth_config(days, seed).artifact_key())
 
 
 def _render_key(experiment_id: str, days: float, seed: int) -> str:
@@ -308,15 +282,9 @@ def _render_key(experiment_id: str, days: float, seed: int) -> str:
     package source digest, so a render can never outlive either the
     data or the code that produced it.
     """
-    from repro.data.synth import SynthConfig
-    from repro.simulation.simulator import SimulationConfig
-
-    config = SynthConfig(
-        simulation=SimulationConfig(days=days, seed=seed), seed=seed
-    )
     return artifact_key(
         f"experiment-render:{experiment_id}",
-        {"config": fingerprint(config), "source": source_digest()},
+        {"config": fingerprint(_synth_config(days, seed)), "source": source_digest()},
     )
 
 
@@ -332,11 +300,15 @@ def _execute_task(
     and under the ``fork`` start method the child sees exactly the
     parent's registry state either way.
     """
-    from repro.experiments.graph import build_plan
+    from repro.experiments.graph import build_plan, run_context_task
 
-    task = build_plan(experiment_id, days=days, seed=seed).shard(task_id)
+    if task_id == CONTEXT_TASK_ID:
+        # The graph's own task belongs to no experiment's plan.
+        run = run_context_task
+    else:
+        run = build_plan(experiment_id, days=days, seed=seed).shard(task_id).execute
     start_s = time.perf_counter()
-    value = task.execute(days, seed)
+    value = run(days, seed)
     return value, time.perf_counter() - start_s
 
 
@@ -584,6 +556,10 @@ def _run_wave_parallel(
     for task in wave:
         if task.task_id not in retry_errors:
             continue
+        if task.task_id == CONTEXT_TASK_ID:
+            # No isolated re-run: the parent regenerates the trace inline.
+            failed[task.task_id] = _failure(task, retry_errors[task.task_id], attempts=1)
+            continue
         try:
             outcome = _run_isolated(
                 task.experiment_id, task.task_id, days, seed, options.timeout_s
@@ -625,60 +601,17 @@ def run_experiments_detailed(
             f"schedule must be one of {list(SCHEDULE_MODES)}, got {schedule!r}"
         )
     options = options or RunnerOptions()
+    ids = resolve_ids(ids)
 
-    # On a cold multi-core run, trace generation starts in a worker
-    # *now*, overlapped with everything below that does not need the
-    # trace: the experiment-registry import inside resolve_ids and the
-    # whole-package source digest behind the render-key probe.
-    trace_worker = _start_trace_worker(days, seed) if n_jobs > 1 else None
-    try:
-        ids = resolve_ids(ids)
-
-        cache = default_cache()
-        rendered: Dict[str, str] = {}
-        failures_by_exp: Dict[str, List[ExperimentFailure]] = {}
-        if cache.enabled:
-            for experiment_id in ids:
-                hit = cache.load(_render_key(experiment_id, days, seed))
-                if isinstance(hit, str):
-                    rendered[experiment_id] = hit
-        pending = [i for i in ids if i not in rendered]
-    except Exception:
-        if trace_worker is not None:
-            trace_worker.terminate()
-            trace_worker.join(5.0)
-        raise
-
-    if trace_worker is not None:
-        # Join regardless of pending: the setup above is cheap, so this
-        # is where the parent actually waits out the integration.  A
-        # non-zero exit is fine — get_context regenerates inline.
-        trace_worker.join()
-
-    context = None
-    if pending:
-        # Warm the shared trace before any task runs — this *is* the
-        # graph's context task, executed in the parent so that workers
-        # find the artifact on disk (or inherit the in-process cache
-        # via fork) instead of each paying the full generation.  If the
-        # trace itself cannot be generated, every pending experiment
-        # fails for that one reason — recorded, not raised.
-        try:
-            start_s = time.perf_counter()
-            context = get_context(days=days, seed=seed)
-            context_seconds = time.perf_counter() - start_s
-        except Exception as exc:  # noqa: BLE001 - one record per casualty
-            for experiment_id in pending:
-                failures_by_exp[experiment_id] = [
-                    ExperimentFailure(
-                        experiment_id=experiment_id,
-                        error_type=type(exc).__name__,
-                        message=f"shared trace generation failed: {exc}",
-                        attempts=1,
-                        task_id=experiment_id,
-                    )
-                ]
-            pending = []
+    cache = default_cache()
+    rendered: Dict[str, str] = {}
+    failures_by_exp: Dict[str, List[ExperimentFailure]] = {}
+    if cache.enabled:
+        for experiment_id in ids:
+            hit = cache.load(_render_key(experiment_id, days, seed))
+            if isinstance(hit, str):
+                rendered[experiment_id] = hit
+    pending = [i for i in ids if i not in rendered]
 
     if pending:
         plans = build_plans(pending, days=days, seed=seed)
@@ -686,15 +619,46 @@ def run_experiments_detailed(
         costs = CostModel.load(days)
 
         values: Dict[str, object] = {}
-        task_seconds: Dict[str, float] = {CONTEXT_TASK_ID: context_seconds}
+        task_seconds: Dict[str, float] = {}
         task_failures: Dict[str, ExperimentFailure] = {}
-        done = {CONTEXT_TASK_ID}
+        # A cold trace on a multi-core run is generated by the graph's
+        # context task in the first pool wave, next to the tasks that do
+        # not need it.  Otherwise it is settled up front: the parent
+        # warms it inline before any task runs.
+        done = set() if n_jobs > 1 and _trace_is_cold(days, seed) else {CONTEXT_TASK_ID}
+        context = None
 
         # Wave execution: each pass dispatches every task whose
         # dependencies are settled.  A task behind a failed dependency
         # is failed in place, so the loop always makes progress.
         while True:
             settled = done | set(task_failures)
+            if context is None and CONTEXT_TASK_ID in settled:
+                # Load the pooled task's artifact into the parent before
+                # the next wave forks, or regenerate inline after it
+                # failed (resuming from any sealed chunks).  If even that
+                # fails, every pending experiment fails for that one
+                # reason — recorded, not raised.
+                task_failures.pop(CONTEXT_TASK_ID, None)
+                try:
+                    start_s = time.perf_counter()
+                    context = get_context(days=days, seed=seed)
+                    task_seconds.setdefault(CONTEXT_TASK_ID, time.perf_counter() - start_s)
+                except Exception as exc:  # noqa: BLE001 - one record per casualty
+                    for experiment_id in pending:
+                        failures_by_exp[experiment_id] = [
+                            ExperimentFailure(
+                                experiment_id=experiment_id,
+                                error_type=type(exc).__name__,
+                                message=f"shared trace generation failed: {exc}",
+                                attempts=1,
+                                task_id=experiment_id,
+                            )
+                        ]
+                    pending = []
+                    break
+                done.add(CONTEXT_TASK_ID)
+                settled.add(CONTEXT_TASK_ID)
             wave = [
                 task
                 for task in graph.tasks

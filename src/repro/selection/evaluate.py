@@ -109,12 +109,18 @@ def reduced_model_errors(
     )
 
     column_of: Dict[int, int] = {sid: i for i, sid in enumerate(validate_sel.sensor_ids)}
+    # Per cluster, not per day: the mean trace spans the whole validation set.
+    clusters = [
+        (
+            [column_of[sid] for sid in selection.representatives_of(cluster)],
+            cluster_mean_trace(validate, clustering.members(cluster)),
+        )
+        for cluster in range(clustering.k)
+    ]
     pooled = []
-    for day, (start, predicted, _measured) in result.traces.items():
-        for cluster in range(clustering.k):
-            reps = selection.representatives_of(cluster)
-            rep_prediction = predicted[:, [column_of[sid] for sid in reps]].mean(axis=1)
-            mean_trace = cluster_mean_trace(validate, clustering.members(cluster))
+    for start, predicted, _measured in result.traces.values():
+        for rep_columns, mean_trace in clusters:
+            rep_prediction = predicted[:, rep_columns].mean(axis=1)
             window_mean = mean_trace[start : start + predicted.shape[0]]
             err = np.abs(rep_prediction - window_mean)
             err = err[np.isfinite(err)]

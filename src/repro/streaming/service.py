@@ -251,13 +251,17 @@ def build_request(
     fallback_inputs: Optional[np.ndarray],
     request_id: str,
     max_horizon_ticks: int,
+    buffered_history: bool = True,
 ) -> PredictionRequest:
     """Turn a JSON payload into a validated request.
 
     Accepted fields: ``id`` (optional), ``horizon_ticks`` (with inputs
     held at ``fallback_inputs`` — typically the last observed input
     vector), or an explicit ``inputs`` matrix.  ``history`` optionally
-    seeds the simulation.
+    seeds the simulation; it is required when ``buffered_history`` is
+    false (the serving pipeline holds no temperature buffer to seed
+    from), so such a request is refused here instead of failing the
+    whole micro-batch in :meth:`PredictionService.drain`.
     """
     rid = str(payload.get("id", request_id))
     if "inputs" in payload:
@@ -276,6 +280,10 @@ def build_request(
     else:
         raise StreamingError("request payload needs 'inputs' or 'horizon_ticks'")
     history = payload.get("history")
+    if history is None and not buffered_history:
+        raise StreamingError(
+            "request carries no history and the pipeline has no buffered state"
+        )
     return PredictionRequest(
         request_id=rid,
         horizon_inputs=horizon_inputs,

@@ -48,13 +48,14 @@ schedule and any graceful-stop/resume split — checked by
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import queue as queue_mod
 import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro import rng as rng_mod
 from repro.errors import ReproError, StreamingError
@@ -123,6 +124,9 @@ def _truncate_records(path: Path, n_lines: int) -> None:
 class _PartitionRun:
     """Worker-side state of one partition: pipeline, log and snapshot."""
 
+    #: Called after every periodic seal; only the chaos hook sets it.
+    on_seal: Optional[Callable[[], None]] = None
+
     def __init__(
         self, spec: PartitionSpec, namespace: str, out_dir: Path, resume: bool
     ) -> None:
@@ -157,6 +161,8 @@ class _PartitionRun:
         self.handle.write(record_line(self.pipeline.process(tick)))
         if self.pipeline.summary.n_ticks % seal_every == 0:
             self.seal()
+            if self.on_seal is not None:
+                self.on_seal()
 
     def seal(self) -> None:
         """Flush the log, then reseal the snapshot (in that order)."""
@@ -220,6 +226,7 @@ def shard_main(
     heartbeat: Any,
     result_queue: Any,
     stop_event: Any,
+    halt_after_seals: Optional[int] = None,
 ) -> None:
     """One shard process: produce, buffer, consume, snapshot, report.
 
@@ -230,7 +237,10 @@ def shard_main(
     * ``("done", shard_id, stats)`` — every partition drained and
       resealed; ``stats["completed"]`` says whether the sources were
       exhausted (False after a graceful stop);
-    * ``("fatal", shard_id, message)`` — unrecoverable setup/run error.
+    * ``("fatal", shard_id, message)`` — unrecoverable setup/run error;
+    * ``("halted", shard_id)`` — chaos hook: with ``halt_after_seals``
+      set, the shard has resealed that many partition snapshots and now
+      waits for the parent's SIGKILL (or a stop).
 
     Shutdown signals are ignored here: the *parent* owns signal policy
     and coordinates a drain through ``stop_event``, so a terminal ^C
@@ -260,6 +270,16 @@ def shard_main(
     except ReproError as exc:
         result_queue.put(("fatal", shard_id, str(exc)))
         return
+    if halt_after_seals is not None:
+        seals = itertools.count(1)
+
+        def halt() -> None:
+            if next(seals) == halt_after_seals:
+                result_queue.put(("halted", shard_id))
+                stop_event.wait()
+
+        for run in runs.values():
+            run.on_seal = halt
     result_queue.put(("ready", shard_id, len(runs)))
     heartbeat.value = time.monotonic()
 
@@ -320,8 +340,9 @@ class ShardRunnerOptions:
     #: Resume partitions from pre-existing snapshots (a respawn always
     #: resumes regardless of this flag — it only governs the first boot).
     resume: bool = False
-    #: Chaos hook: SIGKILL one live shard this long after start.
-    kill_shard_after_s: Optional[float] = None
+    #: Chaos hook: SIGKILL the first shard that owns partitions once it
+    #: has resealed this many partition snapshots (progress, not time).
+    kill_shard_after_seals: Optional[int] = None
     #: Heartbeat older than this marks a shard hung (killed + respawned).
     liveness_deadline_s: float = 30.0
     #: Respawn attempts per shard before the run is declared failed.
@@ -338,6 +359,8 @@ class ShardRunnerOptions:
             raise StreamingError("max_restarts must be non-negative")
         if self.restart_backoff_s <= 0:
             raise StreamingError("restart_backoff_s must be positive")
+        if self.kill_shard_after_seals is not None and self.kill_shard_after_seals < 1:
+            raise StreamingError("kill_shard_after_seals must be >= 1")
 
 
 @dataclass
@@ -434,8 +457,13 @@ def run_ingest(
     result_queue = ctx.Queue()
     stop_event = ctx.Event()
     slots = {shard_id: _ShardSlot(shard_id) for shard_id in range(plan.n_shards)}
+    chaos_target = None
+    if options.kill_shard_after_seals is not None:
+        chaos_target = next(
+            (sid for sid, specs in sorted(plan.assignment().items()) if specs), None
+        )
 
-    def spawn(slot: _ShardSlot, resume: bool) -> None:
+    def spawn(slot: _ShardSlot, resume: bool, halt_after_seals: Optional[int] = None) -> None:
         slot.heartbeat = ctx.Value("d", time.monotonic())
         slot.dead_since = None
         slot.respawn_at = None
@@ -450,6 +478,7 @@ def run_ingest(
                 slot.heartbeat,
                 result_queue,
                 stop_event,
+                halt_after_seals,
             ),
             name=f"repro-ingest-shard-{slot.shard_id}",
             daemon=True,
@@ -469,23 +498,12 @@ def run_ingest(
 
     with GracefulShutdown() as stop:
         for slot in slots.values():
-            spawn(slot, options.resume)
+            halt = options.kill_shard_after_seals if slot.shard_id == chaos_target else None
+            spawn(slot, options.resume, halt)
         while not all(slot.done for slot in slots.values()):
             if stop.triggered and not stop_signalled:
                 stop_event.set()
                 stop_signalled = True
-            now = time.monotonic()
-            if (
-                options.kill_shard_after_s is not None
-                and killed_shard is None
-                and now - started >= options.kill_shard_after_s
-            ):
-                target = next(
-                    (s for s in slots.values() if not s.done and s.alive()), None
-                )
-                if target is not None:
-                    target.process.kill()
-                    killed_shard = target.shard_id
             # Drain every pending worker message before judging liveness,
             # so a shard that finished a moment ago is not read as a crash.
             while True:
@@ -501,6 +519,10 @@ def run_ingest(
                 elif kind == "done":
                     slot.state = DONE
                     slot.stats = message[2]
+                elif kind == "halted":
+                    # Chaos: the shard stopped at its trigger point.
+                    slot.process.kill()
+                    killed_shard = shard_id
                 elif kind == "fatal":
                     kill_all()
                     raise StreamingError(

@@ -171,6 +171,8 @@ def worker_main(
         ),
     )
     held_inputs = pipeline.estimator.last_inputs()
+    # A worker only answers, so its buffered state never changes.
+    buffered_history = pipeline.estimator.history() is not None
     heartbeat.value = time.monotonic()
     response_queue.put(("ready", worker_id))
 
@@ -205,6 +207,7 @@ def worker_main(
                     held_inputs,
                     str(payload.get("id", f"req-{seq}")),
                     service.config.max_horizon_ticks,
+                    buffered_history,
                 )
                 service.submit(request)
                 seqs.append(seq)

@@ -63,14 +63,20 @@ class TestTaskGraph:
         plans = build_plans(["fig2", "ext-fleet"], days=7.0)
         graph = build_graph(plans.values())
         assert CONTEXT_TASK_ID in graph
+        # Every task but the context-free fleet warm-up waits for the context.
         for task in graph.tasks:
-            if task.task_id != CONTEXT_TASK_ID:
+            if task.task_id in (CONTEXT_TASK_ID, "ext-fleet/warm"):
+                assert task.deps == ()
+            else:
                 assert CONTEXT_TASK_ID in task.deps
-        # ext-fleet buildings additionally wait for the fleet warm task.
-        building = graph.task("ext-fleet/building-0")
-        assert "ext-fleet/warm" in building.deps
-        # Only the context task is ready at the start.
-        assert [t.task_id for t in graph.ready([])] == [CONTEXT_TASK_ID]
+        assert not graph.task("ext-fleet/warm").needs_context
+        # ext-fleet buildings wait for both the context and the warm task.
+        for index in range(8):
+            deps = graph.task(f"ext-fleet/building-{index}").deps
+            assert set(deps) == {CONTEXT_TASK_ID, "ext-fleet/warm"}
+        # The warm-up is ready alongside the context task, so it can run
+        # while the trace integrates.
+        assert [t.task_id for t in graph.ready([])] == [CONTEXT_TASK_ID, "ext-fleet/warm"]
 
 
 class TestExperimentPlan:

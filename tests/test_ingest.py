@@ -346,11 +346,14 @@ class TestShardedParity:
         plan = IngestPlan(
             n_buildings=2, days=1.0, n_shards=2, snapshot_every_ticks=12
         )
+        # Each building seals 8 snapshots a day: kill mid-stream.
         options = ShardRunnerOptions(
-            kill_shard_after_s=2.0, restart_backoff_s=0.1
+            kill_shard_after_seals=3, restart_backoff_s=0.1
         )
         report = run_ingest(plan, tmp_path / "sharded", options)
-        assert report.killed_shard is not None
+        assert report.killed_shard == min(
+            sid for sid, specs in plan.assignment().items() if specs
+        )
         assert report.restarts >= 1
         assert report.completed
         run_serial(plan, tmp_path / "serial")
@@ -373,3 +376,5 @@ class TestShardRunnerOptions:
             ShardRunnerOptions(max_restarts=-1)
         with pytest.raises(StreamingError):
             ShardRunnerOptions(restart_backoff_s=0.0)
+        with pytest.raises(StreamingError):
+            ShardRunnerOptions(kill_shard_after_seals=0)

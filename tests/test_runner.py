@@ -9,6 +9,10 @@ import pytest
 
 from repro.errors import DataError, ExperimentError
 from repro.experiments import EXPERIMENTS
+from repro.experiments import context as context_mod
+from repro.experiments import graph as graph_mod
+from repro.experiments import runner as runner_mod
+from repro.experiments.graph import CONTEXT_TASK_ID
 from repro.experiments.runner import (
     RunnerOptions,
     resolve_ids,
@@ -279,3 +283,84 @@ class TestFailureIsolation:
         with pytest.raises(ExperimentError, match="fig2"):
             run_experiments(["fig2", "fig3"], days=7.0)
         assert executed  # the batch kept going past the failure
+
+
+def _spy_pool_waves(monkeypatch):
+    """Record the task ids of every wave handed to the worker pool."""
+    waves = []
+    original = runner_mod._run_wave_parallel
+
+    def _spy(wave, *args, **kwargs):
+        waves.append([task.task_id for task in wave])
+        return original(wave, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "_run_wave_parallel", _spy)
+    return waves
+
+
+class TestPooledContextTask:
+    """A cold trace on a multi-core run is the first pool wave's context task."""
+
+    IDS = ["fig2", "fig3"]
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self, week_output, tmp_path, monkeypatch):
+        """An empty cache dir: the trace is cold on disk, renders execute."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    def _serial(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+        reference = run_experiments_detailed(self.IDS, days=7.0, jobs=1).results
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        return reference
+
+    def test_cold_parallel_run_pools_the_context_task(self, tmp_path, monkeypatch):
+        reference = self._serial(tmp_path, monkeypatch)
+        waves = _spy_pool_waves(monkeypatch)
+        report = run_experiments_detailed(self.IDS, days=7.0, jobs=2)
+        assert report.ok
+        assert report.results == reference
+        assert waves[0] == [CONTEXT_TASK_ID]
+        assert all(CONTEXT_TASK_ID not in wave for wave in waves[1:])
+
+    def test_crashed_context_task_falls_back_inline(self, tmp_path, monkeypatch):
+        reference = self._serial(tmp_path, monkeypatch)
+
+        def _die(days, seed):
+            os._exit(3)
+
+        # Only the pooled task calls run_context_task; the parent's
+        # fallback calls get_context directly.
+        monkeypatch.setattr(graph_mod, "run_context_task", _die)
+        waves = _spy_pool_waves(monkeypatch)
+        report = run_experiments_detailed(
+            self.IDS, days=7.0, jobs=2, options=RunnerOptions(retries=1, backoff_s=0.01)
+        )
+        assert waves[0] == [CONTEXT_TASK_ID]
+        assert report.ok
+        assert report.results == reference
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trace_failure_fails_every_pending_experiment(self, jobs, monkeypatch):
+        def _broken(days, seed):
+            raise DataError("injected trace failure")
+
+        monkeypatch.setattr(context_mod, "_CONTEXTS", {})
+        monkeypatch.setattr(context_mod.ExperimentContext, "create", staticmethod(_broken))
+        report = run_experiments_detailed(self.IDS, days=7.0, jobs=jobs)
+        assert report.results == []
+        assert [f.experiment_id for f in report.failures] == self.IDS
+        for failure in report.failures:
+            assert failure.error_type == "DataError"
+            assert failure.message.startswith("shared trace generation failed: ")
+            assert "injected trace failure" in failure.message
+
+    def test_cache_off_keeps_the_context_in_the_parent(self, tmp_path, monkeypatch):
+        reference = self._serial(tmp_path, monkeypatch)
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        waves = _spy_pool_waves(monkeypatch)
+        report = run_experiments_detailed(self.IDS, days=7.0, jobs=2)
+        assert report.ok
+        assert report.results == reference
+        assert waves
+        assert all(CONTEXT_TASK_ID not in wave for wave in waves)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.quality import cluster_mean_trace
 from repro.cluster.spectral import ClusteringResult
 from repro.data.modes import OCCUPIED
 from repro.errors import SelectionError
@@ -12,6 +13,8 @@ from repro.selection.gp import GaussianField, empirical_covariance, greedy_mutua
 from repro.selection.placement import gp_selection, thermostat_selection
 from repro.selection.random_sel import random_selection
 from repro.selection.stratified import near_mean_selection, stratified_random_selection
+from repro.sysid.evaluation import evaluate_model
+from repro.sysid.identify import IdentificationOptions, identify
 from tests.test_cluster import two_group_traces
 from tests.test_cluster_baselines_quality import make_clustering, traces_dataset
 
@@ -218,3 +221,69 @@ class TestEvaluation:
         assert errors.size > 100
         assert np.isfinite(errors).all()
         assert np.percentile(errors, 99) < 5.0
+
+
+def _per_day_reduced_model_errors(selection, clustering, train, validate, ridge):
+    """Reference: the cluster mean recomputed for every validation day."""
+    selected = selection.sensors()
+    model = identify(
+        train.select_sensors(selected),
+        IdentificationOptions(order=2, ridge=ridge),
+        mode=OCCUPIED,
+    )
+    result = evaluate_model(
+        model, validate.select_sensors(selected), mode=OCCUPIED, keep_traces=True
+    )
+    column_of = {sid: i for i, sid in enumerate(selected)}
+    pooled = []
+    for start, predicted, _measured in result.traces.values():
+        for cluster in range(clustering.k):
+            reps = selection.representatives_of(cluster)
+            rep_prediction = predicted[:, [column_of[sid] for sid in reps]].mean(axis=1)
+            mean_trace = cluster_mean_trace(validate, clustering.members(cluster))
+            err = np.abs(rep_prediction - mean_trace[start : start + predicted.shape[0]])
+            pooled.append(err[np.isfinite(err)])
+    return np.concatenate(pooled)
+
+
+class TestReducedModelErrorsHoist:
+    """The cluster mean is computed once per cluster, not once per day."""
+
+    @pytest.fixture(scope="class")
+    def split(self, month_dataset):
+        from repro.geometry.layout import THERMOSTAT_IDS
+
+        wireless = month_dataset.select_sensors(
+            [s for s in month_dataset.sensor_ids if s not in THERMOSTAT_IDS]
+        )
+        return wireless.split_half_days(OCCUPIED)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("strategy", ["SMS", "SRS"])
+    def test_matches_per_day_reference_with_k_mean_traces(
+        self, split, k, strategy, monkeypatch
+    ):
+        from repro.cluster import cluster_sensors
+        from repro.selection import evaluate as evaluate_mod
+
+        train, valid = split
+        clustering = cluster_sensors(train, method="correlation", k=k)
+        if strategy == "SMS":
+            selection = near_mean_selection(clustering, train)
+        else:
+            selection = stratified_random_selection(clustering, seed=k)
+        expected = _per_day_reduced_model_errors(
+            selection, clustering, train, valid, ridge=1.0
+        )
+        calls = []
+
+        def _counting(dataset, members):
+            calls.append(tuple(members))
+            return cluster_mean_trace(dataset, members)
+
+        monkeypatch.setattr(evaluate_mod, "cluster_mean_trace", _counting)
+        errors = reduced_model_errors(
+            selection, clustering, train, valid, order=2, mode=OCCUPIED, ridge=1.0
+        )
+        assert np.array_equal(errors, expected)
+        assert len(calls) == clustering.k

@@ -12,6 +12,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ServiceOverloadError, ServingError
@@ -221,6 +222,57 @@ class TestSupervisor:
             assert payload["per_worker"]["0"]["state"] in ("live", "starting")
         finally:
             supervisor.drain(timeout_s=30.0)
+
+
+class TestUnbufferedSnapshot:
+    """A snapshot whose pipeline holds no temperature buffer to seed from."""
+
+    NAME = "test-server-unbuffered"
+
+    @pytest.fixture(scope="class", autouse=True)
+    def unbuffered_snapshot(self, sealed_snapshot):
+        pipeline = load_snapshot(SNAPSHOT, required=True)
+        pipeline.estimator.reset_history()
+        assert pipeline.estimator.history() is None
+        assert save_snapshot(self.NAME, pipeline) is not None
+
+    def test_request_without_history_is_rejected_and_the_pool_stays_healthy(
+        self, dataset
+    ):
+        pipeline = load_snapshot(self.NAME, required=True)
+        planned = np.tile(dataset.inputs[-1], (5, 1)).tolist()
+        history = dataset.temperatures[-2:].tolist()
+        good = [{"id": f"g{i}", "inputs": planned, "history": history} for i in range(4)]
+        bad = {"id": "no-history", "inputs": planned}
+        service = PredictionService(
+            pipeline, ServiceConfig(max_queue=64, max_batch=4, max_horizon_ticks=MAX_HORIZON)
+        )
+        expected = {
+            p["id"]: strip_latency(
+                service.handle(build_request(p, None, p["id"], MAX_HORIZON)).to_payload()
+            )
+            for p in good
+        }
+        supervisor = Supervisor(pool_config(snapshot_name=self.NAME))
+        try:
+            supervisor.start()
+            futures = [supervisor.submit(dict(p)) for p in good[:2] + [bad] + good[2:]]
+            answers = [f.result(timeout=30) for f in futures]
+            # The pool survives: a later request on it is still answered.
+            after = supervisor.submit(dict(good[0], id="after")).result(timeout=30)
+            assert supervisor.n_live == 2
+        finally:
+            clean = supervisor.drain(timeout_s=30.0)
+        assert clean
+        rejected = answers.pop(2)
+        assert rejected["id"] == "no-history"
+        assert "no buffered state" in rejected["error"]
+        assert {a["id"]: strip_latency(a) for a in answers} == expected
+        assert "predictions" in after
+        assert supervisor.stats.rejected == 1
+        assert supervisor.stats.served == len(good) + 1
+        assert supervisor.stats.restarts == 0
+        assert supervisor.stats.failed == 0
 
 
 async def _client_lines(port, lines):
