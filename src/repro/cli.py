@@ -3,7 +3,6 @@
 Subcommands::
 
     repro simulate    generate the synthetic trace and save it as CSV
-    repro synth       generate the trace with chunk/engine control
     repro fleet       batch-simulate a building fleet (``--parity``
                       checks every building against its solo run)
     repro info        summarize a dataset (synthetic or loaded from CSV)
@@ -106,29 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full", action="store_true", help="save all 41 units instead of the screened analysis set"
     )
-
-    p = sub.add_parser(
-        "synth", help="generate the synthetic trace with chunk/engine control"
-    )
-    _add_common(p)
     p.add_argument(
         "--chunk-steps",
         type=int,
         default=None,
-        help="simulation steps per streamed chunk (default: 7-day slabs)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("kernel", "loop"),
-        default="kernel",
-        help="trace generator: staged step-kernels (default) or the reference loop",
-    )
-    p.add_argument("--output", help="optional output file stem (writes <stem>.csv)")
-    p.add_argument(
-        "--full", action="store_true", help="save all 41 units instead of the screened analysis set"
-    )
-    p.add_argument(
-        "--no-cache", action="store_true", help="bypass the in-process and on-disk caches"
+        help="simulation steps per streamed chunk (default: 7-day slabs; "
+        "the trace is identical for any chunking)",
     )
 
     p = sub.add_parser(
@@ -231,12 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed replicates per sweep point, batch-simulated as one fleet "
         "(default 1 = the paper trace only)",
     )
-    p.add_argument(
-        "--serial-traces",
-        action="store_true",
-        help="integrate replicate traces one by one instead of as a batched "
-        "fleet (slow; for parity checking)",
-    )
 
     p = sub.add_parser(
         "stream", help="replay the synthetic trace through the online pipeline"
@@ -318,12 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="simulation steps per live chunk (default: 1-day slabs)",
-    )
-    p.add_argument(
-        "--solo-producers",
-        action="store_true",
-        help="interleave per-building solo sources instead of one batched "
-        "fleet pass per shard",
     )
     p.add_argument(
         "--resume",
@@ -472,34 +442,12 @@ def _cmd_simulate(args) -> int:
     from repro.simulation.simulator import SimulationConfig
 
     output = generate(
-        SynthConfig(simulation=SimulationConfig(days=args.days, seed=args.seed), seed=args.seed)
+        SynthConfig(simulation=SimulationConfig(days=args.days, seed=args.seed), seed=args.seed),
+        chunk_steps=args.chunk_steps,
     )
     dataset = output.full_dataset if args.full else output.analysis_dataset
     path = save_dataset_csv(dataset, args.output)
     print(f"wrote {dataset.n_sensors} sensors x {dataset.n_samples} ticks to {path}")
-    return 0
-
-
-def _cmd_synth(args) -> int:
-    from repro.data.synth import SynthConfig, generate
-    from repro.simulation.simulator import SimulationConfig
-
-    output = generate(
-        SynthConfig(simulation=SimulationConfig(days=args.days, seed=args.seed), seed=args.seed),
-        use_cache=not args.no_cache,
-        chunk_steps=args.chunk_steps,
-        engine=args.engine,
-    )
-    dataset = output.full_dataset if args.full else output.analysis_dataset
-    print(
-        f"generated {args.days:g} days with the {args.engine} engine: "
-        f"{dataset.n_sensors} sensors x {dataset.n_samples} ticks"
-    )
-    if args.output:
-        from repro.data.io import save_dataset_csv
-
-        path = save_dataset_csv(dataset, args.output)
-        print(f"wrote {path}")
     return 0
 
 
@@ -749,7 +697,6 @@ def _cmd_robustness(args) -> int:
         result = EXPERIMENTS["robustness-count"].run(
             context=_context(args),
             replicates=args.replicates,
-            batched=not args.serial_traces,
         )
     else:
         n_faulted = args.faulted if args.faulted is not None else N_FAULTED
@@ -757,7 +704,6 @@ def _cmd_robustness(args) -> int:
             context=_context(args),
             n_faulted=n_faulted,
             replicates=args.replicates,
-            batched=not args.serial_traces,
         )
     print(result.render())
     return 0
@@ -915,7 +861,6 @@ def _cmd_ingest(args) -> int:
         seed=args.seed,
         n_shards=args.shards,
         chunk_steps=args.chunk_steps,
-        batched=not args.solo_producers,
     )
     out = Path(args.out)
     sharded_dir = out / "sharded"
@@ -1197,7 +1142,6 @@ def _cmd_snapshot(args) -> int:
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "synth": _cmd_synth,
     "fleet": _cmd_fleet,
     "snapshot": _cmd_snapshot,
     "info": _cmd_info,

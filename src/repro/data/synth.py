@@ -69,7 +69,7 @@ class SynthConfig:
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
     seed: int = rng_mod.DEFAULT_SEED
 
-    def cache_key(self, engine: str = "kernel") -> str:
+    def cache_key(self) -> str:
         """Stable content key covering *every* configuration field.
 
         Delegates to :func:`repro.core.artifacts.fingerprint` so the
@@ -77,17 +77,13 @@ class SynthConfig:
         new configuration field can never be silently left out of the
         key (the previous hand-written tuple omitted the thermostat
         noise/draft and initial-temperature fields, aliasing distinct
-        configurations onto one cache slot).  ``engine`` is part of the
-        key: the engines are bit-identical by contract, but a cached
-        kernel trace must never *silently* satisfy an explicit request
-        for the reference loop — that is exactly the aliasing the
-        parity checks exist to detect.
+        configurations onto one cache slot).
         """
-        return "{}|engine={}".format(fingerprint(self), engine)
+        return fingerprint(self)
 
-    def artifact_key(self, engine: str = "kernel") -> str:
-        """Content-addressed on-disk key (config + engine + version)."""
-        return artifact_key("synth-output", {"config": fingerprint(self), "engine": engine})
+    def artifact_key(self) -> str:
+        """Content-addressed on-disk key (config + version)."""
+        return artifact_key("synth-output", {"config": fingerprint(self)})
 
 
 @dataclass
@@ -268,7 +264,6 @@ def generate(
     config: Optional[SynthConfig] = None,
     use_cache: bool = True,
     chunk_steps: Optional[int] = None,
-    engine: str = "kernel",
 ) -> SynthOutput:
     """Run the full synthetic path: simulate, observe, assemble, screen.
 
@@ -277,20 +272,15 @@ def generate(
     fresh generation is written back to both.  Cold runs stream the
     simulation in ``chunk_steps``-sized slabs (default: 7-day chunks)
     that are persisted as they finish and resumed from on the next
-    read.  ``engine`` selects the trace generator: ``"kernel"`` (the
-    staged step-kernel pipeline) or ``"loop"`` (the monolithic
-    reference loop, bit-identical but slower — used by the parity
-    checks in CI).
+    read.
     """
-    if engine not in ("kernel", "loop"):
-        raise ValueError(f"unknown simulation engine {engine!r}; use 'kernel' or 'loop'")
     config = config or SynthConfig()
-    key = config.cache_key(engine)
+    key = config.cache_key()
     if use_cache and key in _CACHE:
         return _CACHE[key]
 
     disk = default_cache() if use_cache else None
-    disk_key = config.artifact_key(engine) if use_cache else ""
+    disk_key = config.artifact_key() if use_cache else ""
     if disk is not None:
         cached = disk.load(disk_key)
         if isinstance(cached, SynthOutput):
@@ -301,13 +291,10 @@ def generate(
     if sim_cfg.seed != config.seed:
         sim_cfg = dataclasses.replace(sim_cfg, seed=config.seed)
     simulator = AuditoriumSimulator(sim_cfg)
-    if engine == "loop":
-        result = simulator.run_loop()
-    else:
-        result = _resume_from_chunks(simulator, sim_cfg, disk)
-        if result is None:
-            size = chunk_steps if chunk_steps is not None else _default_chunk_steps(sim_cfg)
-            result = _simulate_streaming(simulator, sim_cfg, size, disk)
+    result = _resume_from_chunks(simulator, sim_cfg, disk)
+    if result is None:
+        size = chunk_steps if chunk_steps is not None else _default_chunk_steps(sim_cfg)
+        result = _simulate_streaming(simulator, sim_cfg, size, disk)
 
     output = observe_output(result, config)
     if use_cache:

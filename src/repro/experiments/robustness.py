@@ -24,9 +24,7 @@ seed-replicate traces.  The replicate traces come from **one batched**
 buildings differing only in seed), then flow through the identical
 post-simulation path (:func:`repro.data.synth.observe_output`) the solo
 generator uses — the fleet engine's bit-parity guarantee makes the
-batched traces interchangeable with serially integrated ones, which
-``batched=False`` (CLI ``--serial-traces``) re-derives the slow way for
-parity checking.
+batched traces interchangeable with serially integrated ones.
 
 A severity at which the *modelling* stages run out of usable data is
 reported as a degraded row (``n/a`` metrics plus the typed error in
@@ -110,18 +108,16 @@ def build_campaign(context: ExperimentContext, n_faulted: int = N_FAULTED) -> Fa
 def replicate_analyses(
     context: Optional[ExperimentContext] = None,
     replicates: int = 1,
-    batched: bool = True,
 ) -> Tuple[Tuple[int, object], ...]:
     """``(seed, analysis_dataset)`` per replicate trace.
 
     Replicate 0 is always the context's own trace (same seed, same
     dataset object), so a single-replicate sweep is exactly the classic
     sweep.  Further replicates are paper-default buildings differing
-    only in seed; with ``batched=True`` (default) they all integrate in
-    one :func:`repro.data.synth.generate_fleet` pass, otherwise each
-    runs its solo simulator serially.  Both paths feed
-    :func:`repro.data.synth.observe_output`, so per-replicate outputs
-    are bit-identical between them.
+    only in seed; they all integrate in one
+    :func:`repro.data.synth.generate_fleet` pass and then flow through
+    :func:`repro.data.synth.observe_output`, so each replicate's output
+    is bit-identical to a solo run of its simulator.
     """
     ctx = resolve_context(context)
     if replicates < 1:
@@ -137,10 +133,7 @@ def replicate_analyses(
         *(int(s) for s in rng_mod.spawn_seeds(ctx.seed, "robustness-replicates", replicates - 1)),
     )
     specs = seed_fleet(SimulationConfig(days=ctx.days, seed=ctx.seed), seeds=seeds)
-    if batched:
-        results = generate_fleet(specs=specs).results
-    else:
-        results = tuple(spec.simulator().run() for spec in specs)
+    results = generate_fleet(specs=specs).results
     analyses = []
     for seed, spec, result in zip(seeds, specs, results):
         config = SynthConfig(simulation=spec.simulation, seed=seed)
@@ -255,7 +248,6 @@ def _assemble_severity(
     base: FaultCampaign,
     severities: Sequence[float],
     points: dict,
-    batched: bool,
 ) -> ExperimentResult:
     """Assemble the severity sweep from its per-cell points.
 
@@ -283,10 +275,9 @@ def _assemble_severity(
         "overlap = Jaccard similarity of the selected sensors vs the fault-free selection",
     ]
     if len(seeds) > 1:
-        trace_mode = "batched fleet pass" if batched else "serial solo runs"
         notes.append(
             f"metrics averaged over {len(seeds)} seed replicates "
-            f"(seeds {list(seeds)}; traces from one {trace_mode})"
+            f"(seeds {list(seeds)}; traces from one batched fleet pass)"
         )
     curve = {
         "severity": [],
@@ -389,16 +380,15 @@ def run(
     severities: Sequence[float] = SEVERITIES,
     n_faulted: int = N_FAULTED,
     replicates: int = 1,
-    batched: bool = True,
 ) -> ExperimentResult:
     """Sweep fault severity and chart the pipeline's degradation.
 
     ``replicates`` averages every sweep point over that many seed
     replicates (trace seeds, not campaign seeds), integrated together in
-    one batched fleet pass unless ``batched=False``.
+    one batched fleet pass.
     """
     ctx = resolve_context(context)
-    reps = replicate_analyses(ctx, replicates=replicates, batched=batched)
+    reps = replicate_analyses(ctx, replicates=replicates)
     campaigns = [
         _campaign_for(analysis, seed, n_faulted) for seed, analysis in reps
     ]
@@ -407,7 +397,7 @@ def run(
         for r, ((_seed, analysis), campaign) in enumerate(zip(reps, campaigns)):
             points[(si, r)] = _evaluate_point(analysis, campaign.scaled(severity))
     return _assemble_severity(
-        ctx, [seed for seed, _ in reps], campaigns[0], severities, points, batched
+        ctx, [seed for seed, _ in reps], campaigns[0], severities, points
     )
 
 
@@ -418,7 +408,6 @@ def run_severity_cell(
     replicate: int = 0,
     n_faulted: int = N_FAULTED,
     replicates: int = 1,
-    batched: bool = True,
 ) -> _PointMetrics:
     """Task entry point: one (severity, replicate) cell of the sweep.
 
@@ -432,7 +421,7 @@ def run_severity_cell(
     from repro.experiments.context import get_context
 
     ctx = get_context(days=days, seed=seed)
-    reps = replicate_analyses(ctx, replicates=replicates, batched=batched)
+    reps = replicate_analyses(ctx, replicates=replicates)
     rep_seed, analysis = reps[replicate]
     campaign = _campaign_for(analysis, rep_seed, n_faulted)
     return _evaluate_point(analysis, campaign.scaled(severity))
@@ -469,7 +458,7 @@ def reduce_tasks(context: ExperimentContext, shards) -> ExperimentResult:
         if shard is not None:
             points[(si, 0)] = shard
     return _assemble_severity(
-        context, [seed for seed, _ in reps], base, SEVERITIES, points, batched=True
+        context, [seed for seed, _ in reps], base, SEVERITIES, points
     )
 
 
@@ -478,7 +467,6 @@ def run_count_sweep(
     counts: Sequence[int] = FAULT_COUNTS,
     severity: float = COUNT_SWEEP_SEVERITY,
     replicates: int = 1,
-    batched: bool = True,
 ) -> ExperimentResult:
     """Sweep the *number* of faulted sensors at fixed severity.
 
@@ -487,8 +475,8 @@ def run_count_sweep(
     before the selected-representative set destabilizes.  The headline
     column is selection stability — Jaccard overlap of the selected
     sensors against the fault-free selection — charted against the
-    count of concurrently faulted units.  ``replicates``/``batched``
-    behave exactly as in :func:`run`.
+    count of concurrently faulted units.  ``replicates`` behaves exactly
+    as in :func:`run`.
     """
     ctx = resolve_context(context)
     max_count = max(counts, default=0)
@@ -497,7 +485,7 @@ def run_count_sweep(
             f"cannot fault {max_count} sensors: only "
             f"{len(ctx.wireless.sensor_ids)} wireless sensors exist"
         )
-    reps = replicate_analyses(ctx, replicates=replicates, batched=batched)
+    reps = replicate_analyses(ctx, replicates=replicates)
 
     headers = [
         "faulted",
@@ -513,10 +501,9 @@ def run_count_sweep(
         "overlap = Jaccard similarity of the selected sensors vs the fault-free selection",
     ]
     if len(reps) > 1:
-        trace_mode = "batched fleet pass" if batched else "serial solo runs"
         notes.append(
             f"metrics averaged over {len(reps)} seed replicates "
-            f"(seeds {[seed for seed, _ in reps]}; traces from one {trace_mode})"
+            f"(seeds {[seed for seed, _ in reps]}; traces from one batched fleet pass)"
         )
     curve = {
         "n_faulted": [],

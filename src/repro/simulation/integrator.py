@@ -1,14 +1,14 @@
-"""Fixed-step integration utilities for the zonal thermal network.
+"""Fixed-step integration schedule for the zonal thermal network.
 
 The network is stiff-ish (fast air nodes, slow mass nodes), so the
 integrator sub-steps each outer step finely enough to keep explicit
 Euler inside its stability region, with the bound supplied by
-:meth:`repro.simulation.rc_network.RCNetwork.max_stable_dt`.
+:meth:`repro.simulation.rc_network.RCNetwork.max_stable_dt`.  The Euler
+sub-steps themselves run in the ``ThermalIntegrate`` kernels
+(:mod:`repro.simulation.kernels`, :mod:`repro.simulation.fleet`).
 """
 
 from __future__ import annotations
-
-from typing import Callable, Tuple
 
 import numpy as np
 
@@ -16,11 +16,7 @@ from repro.errors import SimulationError
 
 __all__ = [
     "substep_count",
-    "euler_step",
 ]
-
-DerivativeFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
 
 def substep_count(dt: float, max_stable_dt: float, safety: float = 0.8) -> int:
     """Number of equal sub-steps needed to keep Euler stable over ``dt``."""
@@ -29,34 +25,3 @@ def substep_count(dt: float, max_stable_dt: float, safety: float = 0.8) -> int:
     if max_stable_dt <= 0:
         raise SimulationError("max_stable_dt must be positive")
     return max(1, int(np.ceil(dt / (safety * max_stable_dt))))
-
-
-def euler_step(
-    derivative: DerivativeFn,
-    zone_temps: np.ndarray,
-    mass_temps: np.ndarray,
-    dt: float,
-    substeps: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance ``(zone_temps, mass_temps)`` by ``dt`` seconds.
-
-    Inputs (flows, heats, ambient) are held constant across the step —
-    they vary on minute scales while sub-steps are tens of seconds, so
-    the zero-order hold is accurate.  Raises if the state goes
-    non-finite, which indicates an unstable configuration rather than a
-    numerical hiccup worth hiding.
-    """
-    if substeps < 1:
-        raise SimulationError("substeps must be at least 1")
-    h = dt / substeps
-    z = np.array(zone_temps, dtype=float, copy=True)
-    m = np.array(mass_temps, dtype=float, copy=True)
-    for _ in range(substeps):
-        dz, dm = derivative(z, m)
-        z += h * dz
-        m += h * dm
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(m))):
-        raise SimulationError(
-            "thermal state diverged; the configuration is outside the stable regime"
-        )
-    return z, m

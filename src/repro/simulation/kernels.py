@@ -16,7 +16,8 @@ reductions over VAV objects, per-VAV scalar PI updates and a
   :class:`CO2Balance`, :class:`MoistureStep`) each writing into the
   preallocated buffers of a :class:`SimulationChunk`.
 
-The kernels are **bit-identical** to the reference loop: the seeded RNG
+The kernels are **bit-identical** to the reference loop (kept as a
+test oracle in ``tests/reference_loop.py``): the seeded RNG
 draw order is unchanged (all noise is drawn up front, exactly as
 before) and every per-step float operation keeps its order and operand
 types.  Vectorizing the per-VAV PI arithmetic is safe because numpy's
@@ -40,7 +41,6 @@ __all__ = [
     "KernelPlan",
     "SimulationState",
     "SimulationChunk",
-    "HeldInputDerivative",
     "ThermostatTap",
     "PlantStep",
     "DiffuserMix",
@@ -49,31 +49,6 @@ __all__ = [
     "MoistureStep",
     "build_kernels",
 ]
-
-
-class HeldInputDerivative:
-    """Zero-order-hold adapter from the RC network to the integrator.
-
-    Replaces the per-step ``derivative`` closure of the original loop:
-    allocated once, its held inputs are re-pointed each step before the
-    Euler sub-step loop runs.  Calling it is numerically identical to
-    calling the closure it replaces.
-    """
-
-    __slots__ = ("network", "flow_kgs", "supply_temp_c", "heat_w", "ambient_c")
-
-    def __init__(self, network) -> None:
-        self.network = network
-        self.flow_kgs: Optional[np.ndarray] = None
-        self.supply_temp_c: Optional[np.ndarray] = None
-        self.heat_w: Optional[np.ndarray] = None
-        self.ambient_c: float = 0.0
-
-    def __call__(self, zone_temps: np.ndarray, mass_temps: np.ndarray):
-        """Network derivatives at the currently held inputs."""
-        return self.network.derivatives(
-            zone_temps, mass_temps, self.flow_kgs, self.supply_temp_c, self.heat_w, self.ambient_c
-        )
 
 
 @dataclass

@@ -24,9 +24,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.geometry import Auditorium, Point, ZoneGrid, default_auditorium
 from repro.simulation.calendar import EventCalendar, semester_calendar
 from repro.simulation.hvac import HVACConfig, HVACPlant
-from repro.simulation.integrator import euler_step, substep_count
+from repro.simulation.integrator import substep_count
 from repro.simulation.kernels import (
-    HeldInputDerivative,
     KernelPlan,
     SimulationChunk,
     SimulationState,
@@ -247,8 +246,8 @@ class AuditoriumSimulator:
 
         Consumes the simulator's RNG streams in exactly the order the
         monolithic loop did (weather, occupancy, thermostat noise,
-        controller noise), so the kernel and loop engines integrate
-        identical realizations.
+        controller noise), so the kernel engine and the reference loop
+        in ``tests/reference_loop.py`` integrate identical realizations.
         """
         cfg = self.config
         n = cfg.n_steps
@@ -380,7 +379,7 @@ class AuditoriumSimulator:
 
     def _writeback_plant(self, state: SimulationState) -> None:
         """Leave the plant objects at the final VAV/PI state, exactly as
-        the monolithic loop does."""
+        the monolithic reference loop does."""
         for i, vav in enumerate(self.plant.vavs):
             vav._flow = float(state.vav_flows[i])
             vav._discharge_temp = float(state.vav_discharge[i])
@@ -480,200 +479,3 @@ class AuditoriumSimulator:
         one chunk.
         """
         return self.assemble(list(self.iter_chunks(chunk_steps)))
-
-    def run_loop(self) -> SimulationResult:
-        """Reference implementation: the original monolithic per-step loop.
-
-        Kept as the numerical ground truth the kernel engine is tested
-        against (and as the ``--engine loop`` baseline in the
-        benchmarks).  The per-step ``derivative`` closure and the
-        Python-level front-diffuser ``sum``/``np.mean`` reductions are
-        hoisted out of the loop; every remaining operation — and the
-        whole RNG draw order — is unchanged.
-        """
-        cfg = self.config
-        n = cfg.n_steps
-        axis = TimeAxis(epoch=cfg.start, period=cfg.dt, count=n)
-        seconds = axis.seconds()
-        hours = axis.hours_of_day()
-
-        # Exogenous trajectories (precomputed, vectorized per event/day).
-        ambient = self.weather.trajectory(cfg.start, seconds)
-        occupancy_total, zone_occupancy = self.occupancy.trajectory(cfg.start, seconds)
-        lighting = self.lighting.trajectory(cfg.start, seconds)
-
-        # Thermostat measurement noise for the control loop.
-        noise_gen = rng_mod.derive(cfg.seed, "thermostat-control-noise")
-        tstat_noise = cfg.thermostat_noise * noise_gen.standard_normal((n, 2))
-        tstat_matrix = _tap_weight_matrix(
-            [
-                self.grid.interpolation_weights(pos)
-                for pos in self._thermostat_positions.values()
-            ],
-            self.grid.n_zones,
-        )
-
-        # Supervisory-controller sensor taps (if any): interpolation
-        # weights for its sensor positions plus independent reading noise.
-        controller_matrix = np.zeros((0, self.grid.n_zones))
-        controller_noise = np.zeros((n, 0))
-        if self.supervisory_controller is not None:
-            positions = list(self.supervisory_controller.positions())
-            controller_matrix = _tap_weight_matrix(
-                [self.grid.interpolation_weights(p) for p in positions], self.grid.n_zones
-            )
-            ctrl_gen = rng_mod.derive(cfg.seed, "controller-sensor-noise")
-            controller_noise = cfg.thermostat_noise * ctrl_gen.standard_normal(
-                (n, len(positions))
-            )
-
-        # Diffuser wiring: which VAVs feed each outlet.
-        diffusers = self.auditorium.diffusers
-        if not diffusers:
-            raise SimulationError("auditorium has no supply diffusers")
-        diffuser_idx = [
-            np.array([v - 1 for v in diffuser.vav_ids], dtype=np.intp) for diffuser in diffusers
-        ]
-        front_idx = diffuser_idx[0]
-
-        self.plant.reset()
-        zone_temps, mass_temps = self.network.initial_state(cfg.initial_temp)
-        substeps = substep_count(cfg.dt, self.network.max_stable_dt())
-
-        out_zone = np.empty((n, self.grid.n_zones))
-        out_mass = np.empty((n, self.grid.n_zones))
-        out_flows = np.empty((n, self.plant.n_vavs))
-        out_vav_temps = np.empty((n, self.plant.n_vavs))
-        out_co2 = np.empty(n)
-        out_humidity = np.empty(n)
-        out_tstat = np.empty((n, 2))
-        out_tstat_true = np.empty((n, 2))
-
-        moisture = MoistureBalance(
-            self.auditorium.volume, MoistureConfig(), initial_temp_c=cfg.initial_temp
-        )
-        co2 = OUTDOOR_CO2_PPM
-        room_volume = self.auditorium.volume
-        front_diffuser = diffusers[0]
-        vav_max_flow = self.plant.config.vav.max_flow
-        front_full_flow = vav_max_flow * len(front_diffuser.vav_ids)
-        # Hoisted: VAV state as arrays (refreshed from plant.step's own
-        # return values) and one reusable zero-order-hold derivative,
-        # replacing the per-step object reductions and closure.
-        flows_now = self.plant.flows()
-        discharge_now = self.plant.discharge_temps()
-        held = HeldInputDerivative(self.network)
-
-        for k in range(n):
-            # 1. Thermostats sample the true field.  They hang inside
-            # the front diffuser's plume, so their reading mixes in a
-            # flow-proportional share of the discharge air.
-            tstat = tstat_matrix @ zone_temps
-            front_flow = float(flows_now[front_idx].sum())
-            front_discharge = float(discharge_now[front_idx].mean())
-            plume = cfg.thermostat_draft * min(front_flow / front_full_flow, 1.0)
-            tstat = (1.0 - plume) * tstat + plume * front_discharge
-            out_tstat_true[k] = tstat
-            tstat = tstat + tstat_noise[k]
-            out_tstat[k] = tstat
-
-            # 2. Plant reacts and the VAV boxes evolve over this step.
-            # The return duct draws well-mixed room air, so the
-            # unconditioned overnight discharge rides the zone mean.
-            flow_commands = None
-            if self.supervisory_controller is not None:
-                readings = controller_matrix @ zone_temps + controller_noise[k]
-                flow_commands = self.supervisory_controller.decide(
-                    k, float(hours[k]), readings, cfg.dt
-                )
-            flows, discharge = self.plant.step(
-                hours[k],
-                tstat,
-                cfg.dt,
-                return_temp_c=float(zone_temps.mean()),
-                flow_commands=flow_commands,
-            )
-            out_flows[k] = flows
-            out_vav_temps[k] = discharge
-            flows_now = flows
-            discharge_now = discharge
-
-            # 3. Aggregate VAVs onto their diffusers.
-            diffuser_flows = np.zeros(len(diffusers))
-            diffuser_temps = np.zeros(len(diffusers))
-            for d, ids in enumerate(diffuser_idx):
-                f = flows[ids].sum()
-                diffuser_flows[d] = f
-                if f > 1e-12:
-                    diffuser_temps[d] = float(np.dot(flows[ids], discharge[ids]) / f)
-                elif ids.size:
-                    diffuser_temps[d] = discharge[ids].mean()
-                else:
-                    # No feeding VAVs: zero supply; keep the temperature
-                    # finite so it cannot poison the zone projection.
-                    diffuser_temps[d] = 0.0
-
-            zone_flow, zone_supply_temp_c = self.network.supply_to_zones(diffuser_flows, diffuser_temps)
-            zone_heat_w = self.network.occupant_zone_heat(zone_occupancy[k])
-            zone_heat_w += self.network.lighting_zone_heat(lighting[k], self.lighting.heat_watts)
-
-            # 4. Integrate the thermal network over the step.
-            ambient_k = float(ambient[k])
-            held.flow_kgs = zone_flow
-            held.supply_temp_c = zone_supply_temp_c
-            held.heat_w = zone_heat_w
-            held.ambient_c = ambient_k
-
-            out_zone[k] = zone_temps
-            out_mass[k] = mass_temps
-            zone_temps, mass_temps = euler_step(held, zone_temps, mass_temps, cfg.dt, substeps)
-
-            # 5. Well-mixed CO₂ balance (fresh-air fraction of supply flow).
-            fresh_flow = FRESH_AIR_FRACTION * diffuser_flows.sum()
-            generation_ppm = occupancy_total[k] * CO2_PER_PERSON / room_volume * 1e6
-            exchange = fresh_flow / room_volume
-            co2 += cfg.dt * (generation_ppm - exchange * (co2 - OUTDOOR_CO2_PPM))
-            out_co2[k] = co2
-
-            # 6. Moisture balance (cooling coil dehumidifies).
-            total_flow = float(diffuser_flows.sum())
-            if total_flow > 1e-12:
-                mean_discharge = float(np.dot(diffuser_flows, diffuser_temps) / total_flow)
-            elif diffuser_temps.size:
-                mean_discharge = float(diffuser_temps.mean())
-            else:
-                mean_discharge = 0.0
-            out_humidity[k] = moisture.step(
-                cfg.dt,
-                occupants=float(occupancy_total[k]),
-                supply_flow_m3s=total_flow,
-                fresh_fraction=FRESH_AIR_FRACTION,
-                discharge_temp_c=mean_discharge,
-                ambient_temp_c=ambient_k,
-            )
-
-        # Integrator-health contracts: a blown-up Euler step shows here
-        # first, as NaN/Inf or as physically impossible room temperatures.
-        ensure_finite(out_zone, "simulated zone temperatures")
-        ensure_finite(out_mass, "simulated mass temperatures")
-        ensure_unit_range(out_zone, -40.0, 70.0, "simulated zone temperatures (°C)")
-
-        return SimulationResult(
-            axis=axis,
-            zone_temps=out_zone,
-            mass_temps=out_mass,
-            vav_flows=out_flows,
-            vav_temps=out_vav_temps,
-            occupancy=occupancy_total,
-            zone_occupancy=zone_occupancy,
-            lighting=lighting,
-            ambient=ambient,
-            co2=out_co2,
-            humidity_ratio=out_humidity,
-            thermostat_readings=out_tstat,
-            thermostat_true=out_tstat_true,
-            auditorium=self.auditorium,
-            grid=self.grid,
-            config=cfg,
-            calendar=self.calendar,
-        )

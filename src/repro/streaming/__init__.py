@@ -46,7 +46,6 @@ from repro.streaming.bus import (
     EventBus,
     Partition,
     PartitionStats,
-    interleave,
 )
 from repro.streaming.drift import (
     ClusterConsistencyMonitor,
@@ -105,7 +104,6 @@ __all__ = [
     "PartitionStats",
     "Partition",
     "EventBus",
-    "interleave",
     "IngestPlan",
     "PartitionSpec",
     "shard_of",

@@ -3,9 +3,8 @@
 The paper's online story is one auditorium's sensors feeding one
 pipeline; the fleet axis multiplies that into thousands of sensors
 across many buildings.  This module is the fan-in layer between the
-producers (one :class:`~repro.streaming.ingest.LiveSimSource` per
-building, optionally drawn from a single batched
-:class:`~repro.simulation.fleet.FleetSimulator` pass) and the
+producers (one building's ticks each, drawn from a single batched
+:class:`~repro.simulation.fleet.FleetSimulator` pass per shard) and the
 per-partition consumers (one full gate→RLS→drift
 :class:`~repro.streaming.pipeline.OnlinePipeline` each, run by the
 shard layer in :mod:`repro.streaming.shards`).
@@ -19,10 +18,7 @@ building, partition-per-key routing) implemented locally:
   ``block`` refuses the offer (the producer must let the consumer
   drain: *backpressure*), ``drop_oldest`` evicts the head,
   ``drop_newest`` discards the offered tick — and every outcome is
-  accounted in :class:`PartitionStats`;
-* :func:`interleave` merges many producers into one deterministic,
-  seeded arrival order, so a multi-building ingest run is exactly
-  reproducible tick for tick.
+  accounted in :class:`PartitionStats`.
 
 Because partitions are strictly FIFO per topic and consumers are
 per-partition, no interleaving (and no overflow policy short of a
@@ -34,9 +30,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
-from repro import rng as rng_mod
 from repro.errors import StreamingError
 from repro.streaming.ingest import StreamTick
 
@@ -45,7 +40,6 @@ __all__ = [
     "PartitionStats",
     "Partition",
     "EventBus",
-    "interleave",
 ]
 
 #: Valid partition overflow policies.
@@ -181,34 +175,3 @@ class EventBus:
     def stats_dict(self) -> Dict[str, Dict[str, int]]:
         """JSON-ready per-topic stats."""
         return {topic: stats.as_dict() for topic, stats in self.stats().items()}
-
-
-def interleave(
-    sources: Mapping[str, Iterable[StreamTick]],
-    seed: rng_mod.SeedLike = None,
-) -> Iterator[Tuple[str, StreamTick]]:
-    """Seeded deterministic merge of many per-topic tick streams.
-
-    Producers advance in rounds: each round visits every non-exhausted
-    producer exactly once, in an order drawn from a generator derived as
-    ``derive(seed, "bus-interleave")`` — so the fan-in arrival order is
-    "random" the way real per-building uplinks are unsynchronized, yet
-    exactly reproducible from the seed.  Per-topic tick order is each
-    producer's own order regardless of the interleaving, which is what
-    keeps per-partition consumers independent of it.
-    """
-    gen = rng_mod.derive(seed, "bus-interleave")
-    iterators = {topic: iter(source) for topic, source in sorted(sources.items())}
-    live: List[str] = sorted(iterators)
-    while live:
-        order = [live[i] for i in gen.permutation(len(live))]
-        exhausted: List[str] = []
-        for topic in order:
-            try:
-                tick = next(iterators[topic])
-            except StopIteration:
-                exhausted.append(topic)
-                continue
-            yield topic, tick
-        if exhausted:
-            live = [topic for topic in live if topic not in exhausted]

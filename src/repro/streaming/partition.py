@@ -133,9 +133,6 @@ class IngestPlan:
     chunk_steps: Optional[int] = None
     #: Online model order per partition.
     order: int = 2
-    #: Draw each shard's ticks from one batched fleet pass (default)
-    #: instead of interleaving per-building solo sources.
-    batched: bool = True
     #: Ticks between partition snapshot reseals.
     snapshot_every_ticks: int = 96
     #: Partition queue bounds and overflow policy.

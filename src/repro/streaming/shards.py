@@ -9,13 +9,11 @@ snapshots — so no tick ever crosses a process boundary (shared-nothing).
 
 Inside one shard (:func:`shard_main`):
 
-* the producers are either one batched
+* the producer is one batched
   :class:`~repro.simulation.fleet.FleetSimulator` pass over the shard's
   buildings feeding each building's own
-  :class:`~repro.streaming.ingest.LiveSensing` (the default — the fleet
-  chunks are bit-identical to the solo simulator's by the fleet parity
-  guarantee), or per-building solo sources merged by the seeded
-  :func:`~repro.streaming.bus.interleave`;
+  :class:`~repro.streaming.ingest.LiveSensing` (the fleet chunks are
+  bit-identical to the solo simulator's by the fleet parity guarantee);
 * ticks pass through the bounded :class:`~repro.streaming.bus.EventBus`
   partition; a full queue *blocks* the producer, which drains the
   partition's consumer inline until the offer lands (backpressure, not
@@ -57,9 +55,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
-from repro import rng as rng_mod
 from repro.errors import ReproError, StreamingError
-from repro.streaming.bus import EventBus, interleave
+from repro.streaming.bus import EventBus
 from repro.streaming.ingest import StreamTick
 from repro.streaming.partition import (
     IngestPlan,
@@ -181,41 +178,32 @@ class _PartitionRun:
 
 
 def _shard_ticks(
-    plan: IngestPlan,
-    shard_id: int,
     specs: Tuple[PartitionSpec, ...],
     runs: Dict[str, _PartitionRun],
 ) -> Iterator[Tuple[str, StreamTick]]:
     """This shard's producer side: ``(topic, tick)`` in arrival order."""
     if not specs:
         return
-    if plan.batched:
-        from repro.simulation.fleet import FleetSimulator
+    from repro.simulation.fleet import FleetSimulator
 
-        fleet = FleetSimulator([spec.building for spec in specs])
-        # Every fleet member shares dt, so every source resolves the
-        # same chunk size; the fleet pass must use it explicitly (its
-        # own default is the whole trace in one chunk).
-        chunk_steps = runs[specs[0].topic].source.chunk_steps
-        # Round-robin one chunk per cohort per round.  The flattened
-        # fleet iterator is cohort-major, which would stream one whole
-        # building before the next whenever geometries differ; zip is
-        # safe because the shared days/dt give every cohort the same
-        # chunk count.  Each building still sees its own chunks in
-        # order, so per-building records are untouched.
-        iters = [cohort.iter_chunks(chunk_steps) for cohort in fleet.cohorts]
-        for chunk_round in zip(*iters):
-            for cohort, chunk in zip(fleet.cohorts, chunk_round):
-                for j, slot in enumerate(cohort.slots):
-                    topic = specs[slot].topic
-                    for tick in runs[topic].sensing.ticks(chunk.building(j)):
-                        yield topic, tick
-    else:
-        streams = {spec.topic: iter(runs[spec.topic].source) for spec in specs}
-        seed = rng_mod.spawn_seeds(plan.seed, "shard-interleave", shard_id + 1)[
-            shard_id
-        ]
-        yield from interleave(streams, seed=seed)
+    fleet = FleetSimulator([spec.building for spec in specs])
+    # Every fleet member shares dt, so every source resolves the
+    # same chunk size; the fleet pass must use it explicitly (its
+    # own default is the whole trace in one chunk).
+    chunk_steps = runs[specs[0].topic].source.chunk_steps
+    # Round-robin one chunk per cohort per round.  The flattened
+    # fleet iterator is cohort-major, which would stream one whole
+    # building before the next whenever geometries differ; zip is
+    # safe because the shared days/dt give every cohort the same
+    # chunk count.  Each building still sees its own chunks in
+    # order, so per-building records are untouched.
+    iters = [cohort.iter_chunks(chunk_steps) for cohort in fleet.cohorts]
+    for chunk_round in zip(*iters):
+        for cohort, chunk in zip(fleet.cohorts, chunk_round):
+            for j, slot in enumerate(cohort.slots):
+                topic = specs[slot].topic
+                for tick in runs[topic].sensing.ticks(chunk.building(j)):
+                    yield topic, tick
 
 
 def shard_main(
@@ -286,7 +274,7 @@ def shard_main(
     bus = EventBus(plan.bus)
     stopped = False
     try:
-        for topic, tick in _shard_ticks(plan, shard_id, specs, runs):
+        for topic, tick in _shard_ticks(specs, runs):
             heartbeat.value = time.monotonic()
             if stop_event.is_set():
                 stopped = True

@@ -291,6 +291,9 @@ class Supervisor:
         self._seqs = itertools.count(1)
         self._route = itertools.count(0)
         self._stop_event = threading.Event()
+        #: Set (under the lock) once shutdown starts sending stops; no
+        #: slot respawns after that, so none can miss its stop message.
+        self._stopping = False
         self._accepting = False
         self._fatal: Optional[str] = None
         self._collector: Optional[threading.Thread] = None
@@ -531,7 +534,7 @@ class Supervisor:
         if slot.state in (FAILED, STOPPED):
             return
         if slot.state == RESTARTING:
-            if now >= slot.respawn_at:
+            if now >= slot.respawn_at and not self._stopping:
                 self.stats.restarts += 1
                 self._spawn(slot)
             return
@@ -649,6 +652,7 @@ class Supervisor:
     def shutdown(self, timeout_s: float = 5.0) -> None:
         """Stop workers and background threads (idempotent, no draining)."""
         with self._lock:
+            self._stopping = True
             slots = list(self._slots)
             for slot in slots:
                 if slot.accepting and slot.request_queue is not None:

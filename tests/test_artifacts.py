@@ -264,57 +264,6 @@ class TestSynthReadThrough:
         assert path.exists()  # regenerated artifact was re-stored
 
 
-class TestEngineKeying:
-    """The cache key must include the engine (the engine-blind bug)."""
-
-    def test_loop_request_never_served_from_kernel_cache(self, monkeypatch, tmp_path):
-        """A kernel-warmed cache must still run ``run_loop`` when asked to."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_cache()
-        config = tiny_config()
-        generate(config)  # warm both cache layers with the kernel engine
-
-        calls = {"loop": 0}
-        original = AuditoriumSimulator.run_loop
-
-        def counting_run_loop(self):
-            calls["loop"] += 1
-            return original(self)
-
-        monkeypatch.setattr(AuditoriumSimulator, "run_loop", counting_run_loop)
-        loop_output = generate(config, engine="loop")
-        assert calls["loop"] == 1, "loop request was served from the kernel cache"
-        # The engines are bit-identical by contract, so the *data* agrees —
-        # only the provenance differs.
-        kernel_output = generate(config)
-        assert np.array_equal(
-            loop_output.simulation.zone_temps, kernel_output.simulation.zone_temps
-        )
-
-    def test_engine_keys_are_distinct(self):
-        config = tiny_config()
-        assert config.cache_key("kernel") != config.cache_key("loop")
-        assert config.artifact_key("kernel") != config.artifact_key("loop")
-
-    def test_warm_loop_cache_reused_for_loop(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_cache()
-        config = tiny_config()
-        generate(config, engine="loop")
-        calls = {"loop": 0}
-        original = AuditoriumSimulator.run_loop
-
-        def counting_run_loop(self):
-            calls["loop"] += 1
-            return original(self)
-
-        monkeypatch.setattr(AuditoriumSimulator, "run_loop", counting_run_loop)
-        generate(config, engine="loop")  # in-process hit
-        clear_cache()
-        generate(config, engine="loop")  # disk hit
-        assert calls["loop"] == 0
-
-
 class TestChunkResume:
     """Resume semantics of the streamed chunk series."""
 

@@ -43,6 +43,38 @@ class TestSimulate:
         assert (tmp_path / "t.meta.json").exists()
         assert "41 sensors" in out
 
+    def test_chunk_steps_leave_the_trace_unchanged(self, capsys, tmp_path, monkeypatch):
+        from repro.data.synth import clear_cache
+
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        for stem, extra in (("whole", ()), ("chunked", ("--chunk-steps", "97"))):
+            clear_cache()  # the in-process cache is blind to the chunking
+            code, _, _ = run_cli(
+                capsys, "simulate", "--days", "2", "--output", str(tmp_path / stem), *extra
+            )
+            assert code == 0
+        clear_cache()
+        for suffix in (".csv", ".meta.json"):
+            whole = (tmp_path / f"whole{suffix}").read_bytes()
+            assert (tmp_path / f"chunked{suffix}").read_bytes() == whole
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--days", "7"],
+            ["simulate", "--engine", "loop", "--output", "t"],
+            ["simulate", "--no-cache", "--output", "t"],
+            ["robustness", "--serial-traces"],
+            ["ingest", "--solo-producers"],
+        ],
+        ids=["synth", "engine", "no-cache", "serial-traces", "solo-producers"],
+    )
+    def test_removed_parity_surface_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestFitClusterSelect:
     def test_fit(self, capsys):

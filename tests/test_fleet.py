@@ -27,6 +27,7 @@ from repro.simulation.fleet import (
     seed_fleet,
 )
 from repro.simulation.rc_network import RCNetworkConfig
+from tests.reference_loop import run_loop
 
 #: Every array a SimulationResult carries; parity is over all of them.
 RESULT_FIELDS = (
@@ -184,7 +185,7 @@ class TestZeroFlow:
     def test_unfed_diffuser_engines_agree(self):
         spec = self._orphan_spec()
         kernel = spec.simulator().run()
-        loop = spec.simulator().run_loop()
+        loop = run_loop(spec.simulator())
         fleet = FleetSimulator((spec,)).run()
         assert_results_identical(loop, kernel, label="loop vs kernel: ")
         assert_results_identical(fleet.results[0], kernel, label="fleet vs kernel: ")

@@ -4,8 +4,6 @@ The load-bearing claims:
 
 * the bus is lossless under ``block`` (backpressure, not drops) and
   every overflow outcome is accounted;
-* :func:`interleave` is seeded-deterministic across runs and never
-  reorders any single topic's stream;
 * an :class:`IngestPlan` routes every building to a stable shard and
   derives a content-addressed snapshot namespace;
 * the sharded runner's per-building record logs are byte-identical to
@@ -25,7 +23,6 @@ from repro.streaming import (
     ShardRunnerOptions,
     StreamTick,
     TickRecord,
-    interleave,
     record_line,
     run_ingest,
     run_partition_serial,
@@ -109,37 +106,6 @@ class TestEventBus:
         stats = bus.stats_dict()
         assert stats["a"]["published"] == 2
         assert stats["b"]["published"] == 1
-
-
-class TestInterleave:
-    def streams(self):
-        return {
-            "green-00": [tick(i) for i in range(5)],
-            "cupples-01": [tick(i) for i in range(3)],
-            "bryan-02": [tick(i) for i in range(4)],
-        }
-
-    def test_same_seed_same_order(self):
-        first = [(t, s.index) for t, s in interleave(self.streams(), seed=7)]
-        second = [(t, s.index) for t, s in interleave(self.streams(), seed=7)]
-        assert first == second
-        assert len(first) == 12
-
-    def test_different_seeds_differ(self):
-        orders = {
-            tuple(t for t, _ in interleave(self.streams(), seed=seed))
-            for seed in range(8)
-        }
-        assert len(orders) > 1
-
-    def test_per_topic_order_preserved(self):
-        for topic in self.streams():
-            indices = [
-                s.index
-                for t, s in interleave(self.streams(), seed=3)
-                if t == topic
-            ]
-            assert indices == sorted(indices)
 
 
 class TestShardOf:
@@ -325,16 +291,6 @@ class TestShardedParity:
             for partition in stats["partitions"].values():
                 assert partition["dropped"] == 0
                 assert partition["published"] == partition["consumed"]
-
-    def test_solo_producers_match_serial_bytes(self, tmp_path):
-        plan = IngestPlan(n_buildings=2, days=0.25, n_shards=2, batched=False)
-        report = run_ingest(plan, tmp_path / "sharded")
-        assert report.completed
-        run_serial(plan, tmp_path / "serial")
-        assert (
-            verify_parity(tmp_path / "sharded", tmp_path / "serial", report.topics)
-            == ()
-        )
 
     def test_idle_shard_boots_and_completes(self, tmp_path):
         plan = IngestPlan(n_buildings=1, days=0.25, n_shards=2)

@@ -16,6 +16,11 @@ from repro.data.gaps import find_segments
 from repro.data.modes import OCCUPIED, UNOCCUPIED, Mode
 from repro.data.resample import resample_last_value
 from repro.data.timeseries import EventSeries, TimeAxis
+from repro.sysid.identify import (
+    IdentificationOptions,
+    build_regression,
+    solve_least_squares,
+)
 from repro.sysid.metrics import empirical_cdf, rms
 from repro.sysid.models import FirstOrderModel
 
@@ -232,6 +237,74 @@ class TestModelProperties:
         r2 = model.simulate(t0, u2) - base
         r12 = model.simulate(t0, u1 + u2) - base
         np.testing.assert_allclose(r12, r1 + r2, atol=1e-9)
+
+
+@st.composite
+def gapped_trace(draw):
+    """A ``(temperatures, inputs, segments)`` triple whose segments are the
+    finite runs of ``temperatures``, separated by all-NaN gap ticks."""
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=len(lengths)))
+    n_sensors = draw(st.integers(min_value=1, max_value=3))
+    n_inputs = draw(st.integers(min_value=1, max_value=2))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = sum(lengths) + sum(gaps[: len(lengths) - 1])
+    temperatures = np.full((n, n_sensors), np.nan)
+    inputs = gen.standard_normal((n, n_inputs))
+    layout = []
+    start = 0
+    for length, gap in zip(lengths, gaps):
+        temperatures[start : start + length] = 20.0 + gen.standard_normal((length, n_sensors))
+        layout.append((start, start + length))
+        start += length + gap
+    segments = find_segments(temperatures, min_length=1)
+    assert [(seg.start, seg.stop) for seg in segments] == layout
+    return temperatures, inputs, segments
+
+
+class TestPiecewiseRegressionProperties:
+    """Eq. 4: the piecewise objective is a sum over segments, so the
+    stacked regression is the per-segment regressions stacked, and the
+    least-squares optimum does not depend on the segment order."""
+
+    @given(
+        trace=gapped_trace(),
+        order=st.sampled_from([1, 2]),
+        fit_intercept=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_regression_is_per_segment_vstack(self, trace, order, fit_intercept):
+        temperatures, inputs, segments = trace
+        options = IdentificationOptions(order=order, fit_intercept=fit_intercept)
+        usable = [seg for seg in segments if len(seg) >= order + 1]
+        assume(usable)
+        phi, y = build_regression(temperatures, inputs, segments, options)
+        parts = [build_regression(temperatures, inputs, [seg], options) for seg in usable]
+        np.testing.assert_array_equal(phi, np.vstack([p for p, _ in parts]))
+        np.testing.assert_array_equal(y, np.vstack([t for _, t in parts]))
+
+    @given(
+        trace=gapped_trace(),
+        order=st.sampled_from([1, 2]),
+        fit_intercept=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_solution_invariant_to_segment_order(self, trace, order, fit_intercept, data):
+        temperatures, inputs, segments = trace
+        options = IdentificationOptions(order=order, fit_intercept=fit_intercept)
+        assume(any(len(seg) >= order + 1 for seg in segments))
+        phi, y = build_regression(temperatures, inputs, segments, options)
+        assume(phi.shape[0] >= phi.shape[1] + 2)
+        assume(np.linalg.matrix_rank(phi) == phi.shape[1])
+        permuted = data.draw(st.permutations(segments))
+        phi_p, y_p = build_regression(temperatures, inputs, permuted, options)
+        np.testing.assert_allclose(
+            solve_least_squares(phi_p, y_p),
+            solve_least_squares(phi, y),
+            rtol=1e-7,
+            atol=1e-7,
+        )
 
 
 class TestComfortProperties:

@@ -5,8 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.geometry import ZoneGrid, default_auditorium
-from repro.simulation.integrator import euler_step, substep_count
+from repro.simulation.integrator import substep_count
 from repro.simulation.rc_network import AIR_CP, AIR_DENSITY, RCNetwork, RCNetworkConfig
+from tests.reference_loop import euler_step
 
 
 @pytest.fixture

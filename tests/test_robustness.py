@@ -126,6 +126,25 @@ class TestCountSweep:
             run_count_sweep(context=ctx14, counts=(10_000,))
 
 
+def serial_replicate_analyses(ctx, seeds):
+    """The slow reference for :func:`replicate_analyses`: each replicate's
+    solo simulator run one by one, then the same observe/assemble path."""
+    from repro.data.synth import SynthConfig, observe_output
+    from repro.simulation.fleet import seed_fleet
+    from repro.simulation.simulator import SimulationConfig
+
+    specs = seed_fleet(SimulationConfig(days=ctx.days, seed=ctx.seed), seeds=seeds)
+    return tuple(
+        (
+            seed,
+            observe_output(
+                spec.simulator().run(), SynthConfig(simulation=spec.simulation, seed=seed)
+            ).analysis_dataset,
+        )
+        for seed, spec in zip(seeds, specs)
+    )
+
+
 class TestReplicateTraces:
     """Satellite: replicate traces come from one batched fleet pass."""
 
@@ -148,20 +167,26 @@ class TestReplicateTraces:
     def test_batched_traces_bit_identical_to_serial(self, ctx7):
         from repro.experiments.robustness import replicate_analyses
 
-        batched = replicate_analyses(ctx7, replicates=2, batched=True)
-        serial = replicate_analyses(ctx7, replicates=2, batched=False)
-        assert [s for s, _ in batched] == [s for s, _ in serial]
+        batched = replicate_analyses(ctx7, replicates=2)
+        serial = serial_replicate_analyses(ctx7, [s for s, _ in batched])
+        assert len(batched) == 2
         assert batched[0][0] == ctx7.seed  # replicate 0 keeps the context seed
         for (_, fast), (_, slow) in zip(batched, serial):
             assert fast.sensor_ids == slow.sensor_ids
             np.testing.assert_array_equal(fast.temperatures, slow.temperatures)
 
-    def test_replicated_sweep_unchanged_vs_serial_path(self, ctx7):
-        from repro.experiments.robustness import run
+    def test_replicated_sweep_unchanged_vs_serial_path(self, ctx7, monkeypatch):
+        from repro.experiments import robustness
 
         kwargs = dict(context=ctx7, severities=(0.0, 0.75), replicates=2)
-        fast = run(batched=True, **kwargs)
-        slow = run(batched=False, **kwargs)
+        fast = robustness.run(**kwargs)
+        seeds = [s for s, _ in robustness.replicate_analyses(ctx7, replicates=2)]
+        monkeypatch.setattr(
+            robustness,
+            "replicate_analyses",
+            lambda context, replicates: serial_replicate_analyses(context, seeds),
+        )
+        slow = robustness.run(**kwargs)
         assert fast.rows == slow.rows
         assert fast.extras["curve"] == slow.extras["curve"]
         assert any("2 seed replicates" in note for note in fast.notes)

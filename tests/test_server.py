@@ -154,8 +154,17 @@ class TestSupervisor:
                 p["id"]: strip_latency(f.result(timeout=30))
                 for p, f in zip(payloads, futures)
             }
+            # The restart counter moves only when the backoff timer
+            # respawns the slot: wait (bounded) for it to come back live.
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if supervisor.worker_states()[killed] == "live":
+                    break
+                time.sleep(0.05)
+            assert supervisor.worker_states()[killed] == "live"
         finally:
             supervisor.drain(timeout_s=30.0)
+        assert not any(slot.alive() for slot in supervisor._slots)
         # Every accepted request resolved with real predictions, and the
         # survivors' answers are byte-identical to the single process.
         assert answers == expected_payloads(payloads)

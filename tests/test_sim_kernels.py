@@ -1,7 +1,8 @@
 """Golden-trace parity of the staged step-kernel simulator.
 
 The refactor's contract is absolute: the kernel pipeline, the chunked
-driver and the monolithic reference loop must produce *bit-identical*
+driver and the monolithic reference loop (the frozen oracle in
+:mod:`tests.reference_loop`) must produce *bit-identical*
 traces — same seeded RNG draw order, same per-step float operation
 order.  These tests enforce it with ``np.array_equal`` (no tolerance)
 across chunk sizes, RC model orders and with a supervisory controller
@@ -25,6 +26,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.geometry import Point
 from repro.simulation import AuditoriumSimulator, SimulationConfig
 from repro.simulation.rc_network import RCNetworkConfig
+from tests.reference_loop import run_loop
 
 #: Every array a SimulationResult carries; parity is over all of them.
 RESULT_FIELDS = (
@@ -78,14 +80,14 @@ class TestChunkedParity:
         assert_results_identical(chunked, single_shot)
 
     def test_matches_reference_loop(self, single_shot):
-        loop = AuditoriumSimulator(SimulationConfig(days=0.7)).run_loop()
+        loop = run_loop(AuditoriumSimulator(SimulationConfig(days=0.7)))
         assert_results_identical(loop, single_shot)
 
     def test_other_seed(self):
         config = SimulationConfig(days=0.7, seed=99)
         whole = AuditoriumSimulator(config).run()
         chunked = AuditoriumSimulator(config).run(chunk_steps=113)
-        loop = AuditoriumSimulator(config).run_loop()
+        loop = run_loop(AuditoriumSimulator(config))
         assert_results_identical(chunked, whole)
         assert_results_identical(loop, whole)
 
@@ -104,7 +106,7 @@ class TestParityAcrossModels:
     def test_config_variants(self, config):
         whole = AuditoriumSimulator(config).run()
         chunked = AuditoriumSimulator(config).run(chunk_steps=97)
-        loop = AuditoriumSimulator(config).run_loop()
+        loop = run_loop(AuditoriumSimulator(config))
         assert_results_identical(chunked, whole)
         assert_results_identical(loop, whole)
 
@@ -114,9 +116,9 @@ class TestParityAcrossModels:
         chunked = AuditoriumSimulator(
             config, supervisory_controller=StubController()
         ).run(chunk_steps=101)
-        loop = AuditoriumSimulator(
-            config, supervisory_controller=StubController()
-        ).run_loop()
+        loop = run_loop(
+            AuditoriumSimulator(config, supervisory_controller=StubController())
+        )
         assert_results_identical(chunked, whole)
         assert_results_identical(loop, whole)
 
@@ -209,23 +211,33 @@ class TestChunkCache:
 
 
 class TestEngineSelection:
-    """generate() exposes the engine choice and validates it."""
+    """generate()'s kernel engine reproduces the reference loop end to end."""
 
-    def test_unknown_engine_rejected(self):
-        from repro.data.synth import SynthConfig, generate
-
-        with pytest.raises(ValueError):
-            generate(SynthConfig(), engine="warp")
-
-    def test_loop_engine_matches_kernel(self, monkeypatch):
+    def test_loop_engine_matches_kernel(self, monkeypatch, tmp_path):
+        """The whole synth pipeline over the oracle trace is byte-identical:
+        observe → assemble → screen, down to the saved CSV and metadata."""
         from repro.data import synth
+        from repro.data.io import save_dataset_csv
 
         monkeypatch.setenv("REPRO_CACHE", "off")
         synth.clear_cache()
         config = synth.SynthConfig(simulation=SimulationConfig(days=0.5))
         kernel = synth.generate(config, use_cache=False)
-        loop = synth.generate(config, use_cache=False, engine="loop")
+        loop = synth.observe_output(
+            run_loop(
+                AuditoriumSimulator(dataclasses.replace(config.simulation, seed=config.seed))
+            ),
+            config,
+        )
         assert_results_identical(kernel.simulation, loop.simulation)
+        for name, output in (("kernel", kernel), ("loop", loop)):
+            save_dataset_csv(output.full_dataset, tmp_path / f"{name}-full")
+            save_dataset_csv(output.analysis_dataset, tmp_path / f"{name}-analysis")
+        for stem in ("full", "analysis"):
+            for suffix in (".csv", ".meta.json"):
+                kernel_bytes = (tmp_path / f"kernel-{stem}{suffix}").read_bytes()
+                loop_bytes = (tmp_path / f"loop-{stem}{suffix}").read_bytes()
+                assert kernel_bytes == loop_bytes, f"{stem}{suffix} differs"
 
     def test_seed_override_keeps_every_field(self):
         """Regression: the seed rebuild used to drop thermostat_draft."""

@@ -86,7 +86,8 @@ class TestSteadyState:
 
     def test_matches_long_simulation(self, network):
         """The linear solve agrees with integrating to equilibrium."""
-        from repro.simulation.integrator import euler_step, substep_count
+        from repro.simulation.integrator import substep_count
+        from tests.reference_loop import euler_step
 
         n = network.n_zones
         flow = np.zeros(n)
