@@ -22,8 +22,10 @@ Inside one shard (:func:`shard_main`):
   :class:`~repro.streaming.pipeline.OnlinePipeline` appending canonical
   :func:`~repro.streaming.partition.record_line` bytes to the
   partition's log, resealing its snapshot every
-  ``snapshot_every_ticks`` (log flushed *before* every seal, so the log
-  is never behind the snapshot).
+  ``snapshot_every_ticks`` and once more on close if ticks arrived
+  since (log flushed *before* every seal, so the log is never behind
+  the snapshot).  A partition never rewrites a snapshot or a log that
+  has not changed.
 
 The supervising parent (:func:`run_ingest`) reuses the serving pool's
 robustness idioms (:mod:`repro.streaming.supervisor`): monotonic
@@ -33,9 +35,9 @@ drain that has every shard finish its buffered ticks and reseal every
 partition snapshot before exiting.  A respawned shard resumes from its
 partitions' snapshots: the pipeline's own ``summary.n_ticks`` *is* the
 resume index (exactly one record line per processed tick), so the shard
-truncates each log to that many lines, replays the deterministic
-producers from the seed, and skips ticks already processed —
-exactly-once records without any write-ahead machinery.
+cuts each log to that many lines (if it holds more), replays the
+deterministic producers from the seed, and skips ticks already
+processed — exactly-once records without any write-ahead machinery.
 
 Determinism contract: a completed sharded run's per-building record
 logs are byte-identical to :func:`run_serial`'s (no bus, no shards, no
@@ -49,6 +51,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import queue as queue_mod
+import os
 import signal
 import time
 from dataclasses import dataclass, field
@@ -95,7 +98,9 @@ def _truncate_records(path: Path, n_lines: int) -> None:
     repaired here.  The log can never be *behind* the snapshot — every
     seal flushes the log first — so fewer complete lines than the
     snapshot expects means the log was tampered with, and resuming
-    would silently desynchronize records from state.
+    would silently desynchronize records from state.  A log that
+    already holds exactly ``n_lines`` records is left untouched: a
+    rewrite would cost an ext4 data flush for nothing.
     """
     if not path.exists():
         if n_lines:
@@ -106,16 +111,16 @@ def _truncate_records(path: Path, n_lines: int) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"")
         return
-    lines = [
-        line for line in path.read_bytes().splitlines(keepends=True)
-        if line.endswith(b"\n")
-    ]
+    data = path.read_bytes()
+    lines = [line for line in data.splitlines(keepends=True) if line.endswith(b"\n")]
     if len(lines) < n_lines:
         raise StreamingError(
             f"record log {path} holds {len(lines)} complete records but its "
             f"snapshot expects {n_lines}; refusing to resume"
         )
-    path.write_bytes(b"".join(lines[:n_lines]))
+    kept = b"".join(lines[:n_lines])
+    if kept != data:
+        path.write_bytes(kept)
 
 
 class _PartitionRun:
@@ -142,12 +147,17 @@ class _PartitionRun:
         if pipeline is None:
             self.pipeline = spec.pipeline(self.source)
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            # A new file, not an old one truncated in place: ext4 flushes
+            # a truncated-then-rewritten file's data when it is closed.
+            self.path.unlink(missing_ok=True)
             self.handle = self.path.open("wb")
             # Seal the empty state before the first tick, so a crash at
             # any later point finds a consistent (snapshot, log) pair.
             self.seal()
         else:
             self.pipeline = pipeline
+            #: Pipeline tick count at the last seal (or restore).
+            self.sealed_ticks = pipeline.summary.n_ticks
             _truncate_records(self.path, pipeline.summary.n_ticks)
             self.handle = self.path.open("ab")
         #: Source ticks already processed by an earlier incarnation.
@@ -171,9 +181,12 @@ class _PartitionRun:
                 f"cannot seal partition snapshot {self.snapshot_name!r}: "
                 "the artifact cache is disabled (REPRO_CACHE=off)"
             )
+        self.sealed_ticks = self.pipeline.summary.n_ticks
 
     def close(self) -> None:
-        self.seal()
+        """Reseal if ticks arrived since the last seal, then close the log."""
+        if self.pipeline.summary.n_ticks != self.sealed_ticks:
+            self.seal()
         self.handle.close()
 
 
@@ -227,8 +240,8 @@ def shard_main(
       exhausted (False after a graceful stop);
     * ``("fatal", shard_id, message)`` — unrecoverable setup/run error;
     * ``("halted", shard_id)`` — chaos hook: with ``halt_after_seals``
-      set, the shard has resealed that many partition snapshots and now
-      waits for the parent's SIGKILL (or a stop).
+      set, the shard has resealed that many partition snapshots; it
+      SIGKILLs itself right after this message.
 
     Shutdown signals are ignored here: the *parent* owns signal policy
     and coordinates a drain through ``stop_event``, so a terminal ^C
@@ -264,7 +277,13 @@ def shard_main(
         def halt() -> None:
             if next(seals) == halt_after_seals:
                 result_queue.put(("halted", shard_id))
-                stop_event.wait()
+                # Die by SIGKILL only once the feeder thread has sent the
+                # message and released the queue's write lock: a process
+                # killed while it holds that lock leaves it held, and no
+                # other shard's message ever reaches the parent again.
+                result_queue.close()
+                result_queue.join_thread()
+                os.kill(os.getpid(), signal.SIGKILL)
 
         for run in runs.values():
             run.on_seal = halt
@@ -508,8 +527,8 @@ def run_ingest(
                     slot.state = DONE
                     slot.stats = message[2]
                 elif kind == "halted":
-                    # Chaos: the shard stopped at its trigger point.
-                    slot.process.kill()
+                    # Chaos: the shard SIGKILLs itself at its trigger
+                    # point; the liveness pass below respawns it.
                     killed_shard = shard_id
                 elif kind == "fatal":
                     kill_all()

@@ -10,7 +10,10 @@ Snapshots are *named*, not content-addressed — they are mutable
 operational state, not a pure function of configuration — so the key
 hashes the snapshot name (plus the package version, via
 :func:`repro.core.artifacts.artifact_key`), and saving under the same
-name overwrites atomically.  ``REPRO_CACHE_DIR`` relocates snapshots
+name swaps the new value in: a concurrent load sees the old or the new
+snapshot, never a half-written or missing one, and a killed writer
+leaves one of the two (the store never renames onto the live file,
+which would cost an ext4 data flush).  ``REPRO_CACHE_DIR`` relocates snapshots
 together with the rest of the cache; with ``REPRO_CACHE=off`` saves
 return ``None`` and loads miss, like every other cache interaction.
 """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import pickle
 
 import numpy as np
@@ -197,6 +198,105 @@ class TestArtifactCache:
         # No temp files left behind.
         leftovers = [p for p in cache.path_for(key).parent.iterdir() if p.name.startswith(".tmp-")]
         assert leftovers == []
+
+
+def backup_of(cache: ArtifactCache, key: str):
+    path = cache.path_for(key)
+    return path.with_name(path.name + ".prev")
+
+
+class TestSwapIn:
+    """A store over an existing key swaps the value in without renaming
+    onto the live file, and one complete value stays readable throughout."""
+
+    def test_overwrite_never_renames_onto_an_existing_path(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(root=tmp_path, enabled=True)
+        key = "a1" * 32
+        targets = []
+
+        def guarded(real):
+            def move(src, dst):
+                targets.append((os.fspath(dst), os.path.exists(dst)))
+                return real(src, dst)
+
+            return move
+
+        monkeypatch.setattr(os, "replace", guarded(os.replace))
+        monkeypatch.setattr(os, "rename", guarded(os.rename))
+        for value in ("first", "second", "third"):
+            assert cache.store(key, value) is not None
+            assert cache.load(key) == value
+        assert len(targets) == 3
+        assert not any(existed for _, existed in targets)
+        assert not backup_of(cache, key).exists()
+
+    def test_every_step_of_a_swap_leaves_old_or_new_readable(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(root=tmp_path, enabled=True)
+        key = "b2" * 32
+        cache.store(key, {"v": "old"})
+        seen = []
+
+        def observed(real):
+            def call(*args):
+                seen.append(cache.load(key))
+                return real(*args)
+
+            return call
+
+        for name in ("link", "unlink", "rename"):
+            monkeypatch.setattr(os, name, observed(getattr(os, name)))
+        cache.store(key, {"v": "new"})
+        monkeypatch.undo()
+        # link, unlink(live), rename(temp), unlink(backup): four steps.
+        assert len(seen) == 4
+        assert all(value in ({"v": "old"}, {"v": "new"}) for value in seen)
+        assert seen[0] == {"v": "old"} and seen[-1] == {"v": "new"}
+        assert cache.load(key) == {"v": "new"}
+
+    def test_link_failure_falls_back_to_replace(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(root=tmp_path, enabled=True)
+        key = "c3" * 32
+        cache.store(key, "old")
+
+        def no_links(src, dst):
+            raise PermissionError("hard links not supported")
+
+        monkeypatch.setattr(os, "link", no_links)
+        assert cache.store(key, "new") == cache.path_for(key)
+        assert cache.load(key) == "new"
+        assert not backup_of(cache, key).exists()
+
+    def test_backup_left_by_a_killed_writer(self, tmp_path):
+        cache = ArtifactCache(root=tmp_path, enabled=True)
+        key = "d4" * 32
+        backup = backup_of(cache, key)
+        cache.store(key, "live")
+        # Killed after the link: a stale backup beside the live value.
+        backup.write_bytes(pickle.dumps("stale"))
+        assert cache.load(key) == "live"
+        cache.store(key, "next")
+        assert cache.load(key) == "next"
+        assert not backup.exists()
+        # Killed after the unlink: the backup is the last complete value.
+        os.link(cache.path_for(key), backup)
+        os.unlink(cache.path_for(key))
+        assert cache.contains(key)
+        assert cache.load(key) == "next"
+        cache.store(key, "after")
+        assert cache.load(key) == "after"
+        assert not backup.exists()
+
+    def test_corrupt_live_file_never_revives_its_backup(self, tmp_path):
+        cache = ArtifactCache(root=tmp_path, enabled=True)
+        key = "e5" * 32
+        backup = backup_of(cache, key)
+        cache.store(key, "live")
+        backup.write_bytes(pickle.dumps("older"))
+        cache.path_for(key).write_bytes(b"this is not a pickle")
+        assert cache.load(key) is None
+        assert not cache.path_for(key).exists() and not backup.exists()
+        assert cache.load(key) is None
+        assert not cache.contains(key)
 
 
 class TestSynthReadThrough:

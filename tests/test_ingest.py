@@ -30,10 +30,29 @@ from repro.streaming import (
     shard_of,
     verify_parity,
 )
-from repro.streaming.shards import _PartitionRun, _truncate_records
+from repro.streaming.shards import _PartitionRun, _truncate_records, shard_main
 
 #: A tiny plan: two buildings, a quarter day, two shards.
 SMALL = IngestPlan(n_buildings=2, days=0.25, n_shards=2)
+
+
+def log_identity(path):
+    """Bytes, inode and mtime: what a rewrite of the file would change."""
+    stat = path.stat()
+    return path.read_bytes(), stat.st_ino, stat.st_mtime_ns
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call is counted; returns the counter."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def tick(i: int) -> StreamTick:
@@ -202,6 +221,13 @@ class TestTruncateRecords:
         with pytest.raises(StreamingError):
             _truncate_records(path, 2)
 
+    def test_exact_log_is_left_untouched(self, tmp_path):
+        path = tmp_path / "a.records.jsonl"
+        path.write_bytes(b"one\ntwo\n")
+        before = log_identity(path)
+        _truncate_records(path, 2)
+        assert log_identity(path) == before
+
 
 class TestPartitionRunResume:
     """The snapshot-resume machinery, exercised in-process."""
@@ -250,6 +276,52 @@ class TestPartitionRunResume:
         second = _PartitionRun(spec, namespace, tmp_path, resume=True)
         assert second.skip == 3
         assert len((tmp_path / spec.records_name).read_bytes().splitlines()) == 3
+
+    def test_close_after_the_final_seal_does_not_reseal(self, tmp_path, monkeypatch):
+        import repro.streaming.state as state
+
+        spec = SMALL.partitions()[0]
+        ticks = list(spec.source())
+        run = _PartitionRun(spec, SMALL.namespace() + "-test-final", tmp_path, resume=False)
+        seals = count_calls(monkeypatch, state, "save_snapshot")
+        for t in ticks:
+            run.process(t, seal_every=len(ticks))
+        assert len(seals) == 1
+        run.close()
+        assert len(seals) == 1
+        assert run.handle.closed
+
+    def test_stop_mid_cadence_reseals_on_close(self, tmp_path, monkeypatch):
+        import repro.streaming.state as state
+
+        spec = SMALL.partitions()[0]
+        namespace = SMALL.namespace() + "-test-mid"
+        run = _PartitionRun(spec, namespace, tmp_path, resume=False)
+        seals = count_calls(monkeypatch, state, "save_snapshot")
+        for t in list(spec.source())[:5]:
+            run.process(t, seal_every=4)
+        assert len(seals) == 1
+        run.close()
+        assert len(seals) == 2
+        resumed = _PartitionRun(spec, namespace, tmp_path, resume=True)
+        assert resumed.skip == 5
+        resumed.close()
+        assert len(seals) == 2
+
+    def test_fresh_run_replaces_an_old_log_file(self, tmp_path):
+        spec = SMALL.partitions()[0]
+        old = tmp_path / spec.records_name
+        old.write_bytes(b"a previous run\n")
+        inode = old.stat().st_ino
+        keep = old.open("rb")  # pins the old inode, so it cannot be reused
+        try:
+            run = _PartitionRun(spec, SMALL.namespace() + "-test-fresh", tmp_path, resume=False)
+            run.close()
+            assert old.stat().st_ino != inode
+            assert old.read_bytes() == b""
+            assert keep.read() == b"a previous run\n"
+        finally:
+            keep.close()
 
     def test_foreign_snapshot_layout_streams_afresh(self, tmp_path):
         from repro.streaming.state import save_snapshot
@@ -317,6 +389,36 @@ class TestShardedParity:
             verify_parity(tmp_path / "sharded", tmp_path / "serial", report.topics)
             == ()
         )
+
+    def test_resume_over_a_finished_run_writes_nothing(self, tmp_path, monkeypatch):
+        import queue
+        import signal
+        import threading
+        from types import SimpleNamespace
+
+        from repro.core.artifacts import ArtifactCache
+
+        out = tmp_path / "sharded"
+        report = run_ingest(SMALL, out)
+        assert report.completed
+        before = {topic: log_identity(out / f"{topic}.records.jsonl") for topic in report.topics}
+        stores = count_calls(monkeypatch, ArtifactCache, "store")
+        # Each shard resumes in this process, so the counter sees every
+        # store; the shard's own signal policy is not installed here.
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        results = queue.Queue()
+        for shard_id in range(SMALL.n_shards):
+            heartbeat = SimpleNamespace(value=0.0)
+            shard_main(shard_id, SMALL, str(out), True, heartbeat, results, threading.Event())
+        messages = [results.get_nowait() for _ in range(2 * SMALL.n_shards)]
+        done = [m for m in messages if m[0] == "done"]
+        assert len(done) == SMALL.n_shards
+        assert all(stats["completed"] for _, _, stats in done)
+        assert stores == []
+        after = {topic: log_identity(out / f"{topic}.records.jsonl") for topic in report.topics}
+        assert after == before
+        run_serial(SMALL, tmp_path / "serial")
+        assert verify_parity(out, tmp_path / "serial", report.topics) == ()
 
     def test_cache_disabled_raises_typed_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")

@@ -16,6 +16,7 @@ from repro.data.gaps import find_segments
 from repro.data.modes import OCCUPIED, UNOCCUPIED, Mode
 from repro.data.resample import resample_last_value
 from repro.data.timeseries import EventSeries, TimeAxis
+from repro.streaming.rls import RecursiveLeastSquares
 from repro.sysid.identify import (
     IdentificationOptions,
     build_regression,
@@ -304,6 +305,39 @@ class TestPiecewiseRegressionProperties:
             solve_least_squares(phi, y),
             rtol=1e-7,
             atol=1e-7,
+        )
+
+
+class TestRecursiveLeastSquaresProperties:
+    """At λ = 1 the RLS recursion is the ridge solution of the rows it
+    has seen, so fed the stacked per-segment regression row by row it
+    lands on the batch ridge fit of that stack."""
+
+    @given(
+        trace=gapped_trace(),
+        order=st.sampled_from([1, 2]),
+        fit_intercept=st.booleans(),
+        ridge=st.sampled_from([1e-3, 1e-1, 1.0, 10.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rls_at_unit_forgetting_equals_batch_ridge_fit(
+        self, trace, order, fit_intercept, ridge
+    ):
+        temperatures, inputs, segments = trace
+        options = IdentificationOptions(order=order, fit_intercept=fit_intercept)
+        usable = [seg for seg in segments if len(seg) >= order + 1]
+        assume(usable)
+        parts = [build_regression(temperatures, inputs, [seg], options) for seg in usable]
+        phi = np.vstack([p for p, _ in parts])
+        y = np.vstack([t for _, t in parts])
+        assume(phi.shape[0] >= phi.shape[1])
+        rls = RecursiveLeastSquares(
+            phi.shape[1], y.shape[1], forgetting=1.0, regularization=ridge
+        )
+        for row, target in zip(phi, y):
+            rls.update(row, target)
+        np.testing.assert_allclose(
+            rls.weights, solve_least_squares(phi, y, ridge=ridge), rtol=1e-6, atol=1e-8
         )
 
 
