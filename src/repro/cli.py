@@ -39,7 +39,10 @@ Failing experiments no longer abort a report: survivors render
 normally, a "FAILED experiments" section lists the casualties, and the
 exit code is 1 on partial failure (see ``docs/robustness.md``;
 ``REPRO_RUNNER_TIMEOUT_S`` and ``REPRO_RUNNER_RETRIES`` tune the
-runner's timeout/retry policy).
+runner's timeout/retry policy; retries back off on the doubling
+schedule of :mod:`repro.core.supervise`, which also supervises the
+``ingest``/``serve`` children: they ignore SIGINT/SIGTERM, so a
+terminal ^C drains them instead of killing them).
 """
 
 from __future__ import annotations

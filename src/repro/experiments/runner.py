@@ -43,8 +43,9 @@ poisoned shard degrades one table cell:
 
 * a raising task is recorded (library :class:`ReproError`\\ s are
   deterministic, so they are not retried);
-* an unexpected exception gets a **bounded retry with backoff**,
-  re-run in an *isolated* single-shot subprocess;
+* an unexpected exception gets a **bounded retry with backoff** (the
+  supervision core's doubling schedule, :mod:`repro.core.supervise`,
+  from 0.25 s), re-run in an *isolated* single-shot subprocess;
 * a **worker crash** (``BrokenProcessPool`` — segfault, OOM-kill,
   ``os._exit``) downgrades the affected tasks to the same isolated
   serial retry instead of killing the report;
@@ -76,6 +77,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import rng as rng_mod
 from repro.core.artifacts import artifact_key, default_cache, fingerprint, source_digest
+from repro.core.supervise import RestartPolicy
 from repro.errors import (
     ExperimentError,
     ExperimentTimeoutError,
@@ -106,8 +108,8 @@ __all__ = [
 ENV_TIMEOUT = "REPRO_RUNNER_TIMEOUT_S"
 #: Environment override for the transient-failure retry budget.
 ENV_RETRIES = "REPRO_RUNNER_RETRIES"
-#: Environment override for the retry backoff base, seconds.
-ENV_BACKOFF = "REPRO_RUNNER_BACKOFF_S"
+#: Isolated retry ``n`` waits ``RETRY_BACKOFF.delay(n)``: 0.25 s, 0.5 s, ...
+RETRY_BACKOFF = RestartPolicy(backoff_s=0.25)
 
 #: Valid ``schedule`` arguments: cost-aware LPT or registry order.
 SCHEDULE_MODES = ("cost", "registry")
@@ -121,32 +123,24 @@ class RunnerOptions:
     timeout_s: Optional[float] = None
     #: Isolated re-runs granted to transiently failing tasks.
     retries: int = 1
-    #: Base sleep between retry attempts, seconds (linear backoff).
-    backoff_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ExperimentError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.retries < 0:
             raise ExperimentError(f"retries must be non-negative, got {self.retries}")
-        if self.backoff_s < 0:
-            raise ExperimentError(f"backoff_s must be non-negative, got {self.backoff_s}")
 
     @staticmethod
     def from_env() -> "RunnerOptions":
-        """Options with ``REPRO_RUNNER_TIMEOUT_S``/``_RETRIES``/``_BACKOFF_S`` applied."""
+        """Options with ``REPRO_RUNNER_TIMEOUT_S``/``_RETRIES`` applied."""
         timeout_raw = os.environ.get(ENV_TIMEOUT, "").strip()
         retries_raw = os.environ.get(ENV_RETRIES, "").strip()
-        backoff_raw = os.environ.get(ENV_BACKOFF, "").strip()
         try:
             timeout = float(timeout_raw) if timeout_raw else None
             retries = int(retries_raw) if retries_raw else 1
-            backoff = float(backoff_raw) if backoff_raw else 0.25
         except ValueError as exc:
-            raise ExperimentError(
-                f"bad {ENV_TIMEOUT}/{ENV_RETRIES}/{ENV_BACKOFF} value: {exc}"
-            ) from None
-        return RunnerOptions(timeout_s=timeout, retries=retries, backoff_s=backoff)
+            raise ExperimentError(f"bad {ENV_TIMEOUT}/{ENV_RETRIES} value: {exc}") from None
+        return RunnerOptions(timeout_s=timeout, retries=retries)
 
 
 @dataclass(frozen=True)
@@ -407,8 +401,7 @@ def _attempt_retries(
     error: BaseException = first_error
     attempts = attempts_used
     while not _is_deterministic(error) and attempts - attempts_used < options.retries:
-        if options.backoff_s:
-            time.sleep(options.backoff_s * (attempts - attempts_used + 1))
+        time.sleep(RETRY_BACKOFF.delay(attempts - attempts_used + 1))
         attempts += 1
         try:
             outcome = _run_isolated(

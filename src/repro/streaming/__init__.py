@@ -21,8 +21,8 @@ stream:
 * :mod:`repro.streaming.state` — snapshot/restore of a live pipeline
   through the artifact cache.
 * :mod:`repro.streaming.supervisor` — a supervised multi-process worker
-  pool (heartbeats, crash/hang respawn with bounded backoff, timeout
-  retry on a different worker, explicit load-shedding).
+  pool (request routing, timeout retry on a different worker, explicit
+  load-shedding) on the supervision core :mod:`repro.core.supervise`.
 * :mod:`repro.streaming.server` — the asyncio JSON-lines TCP front end
   over that pool (``repro serve --workers N --port P``).
 * :mod:`repro.streaming.shutdown` — cooperative SIGINT/SIGTERM handling
@@ -34,9 +34,9 @@ stream:
   topic→shard hashing, per-building partition specs, the canonical
   tick-record byte serialization and the serial reference runner.
 * :mod:`repro.streaming.shards` — the shared-nothing shard runner:
-  K supervised worker processes each owning their partitions end to
-  end, with heartbeats, crash respawn from per-partition snapshots and
-  graceful drain (``repro ingest --buildings B --shards K``).
+  K worker processes on the same supervision core, each owning their
+  partitions end to end, with crash respawn from per-partition
+  snapshots and graceful drain (``repro ingest --buildings B --shards K``).
 """
 
 from __future__ import annotations

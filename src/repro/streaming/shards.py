@@ -27,12 +27,13 @@ Inside one shard (:func:`shard_main`):
   the snapshot).  A partition never rewrites a snapshot or a log that
   has not changed.
 
-The supervising parent (:func:`run_ingest`) reuses the serving pool's
-robustness idioms (:mod:`repro.streaming.supervisor`): monotonic
-heartbeats with a liveness deadline, crash/hang respawn with exponential
-backoff and a bounded restart budget, and a graceful SIGINT/SIGTERM
-drain that has every shard finish its buffered ticks and reseal every
-partition snapshot before exiting.  A respawned shard resumes from its
+The supervising parent (:func:`run_ingest`) runs its shards on the
+supervision core the serving pool uses too (:mod:`repro.core.supervise`):
+monotonic heartbeats with a liveness deadline, crash/hang respawn with
+exponential backoff and a bounded restart budget, and shards that ignore
+SIGINT/SIGTERM.  The parent owns the signals: a graceful drain has every
+shard finish its buffered ticks and reseal every partition snapshot
+before exiting.  A respawned shard resumes from its
 partitions' snapshots: the pipeline's own ``summary.n_ticks`` *is* the
 resume index (exactly one record line per processed tick), so the shard
 cuts each log to that many lines (if it holds more), replays the
@@ -49,15 +50,13 @@ schedule and any graceful-stop/resume split — checked by
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import queue as queue_mod
-import os
-import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
+from repro.core.supervise import LIVE, SPAWN, STARTING, STOPPED, Pool, RestartPolicy, Slot, die
 from repro.errors import ReproError, StreamingError
 from repro.streaming.bus import EventBus
 from repro.streaming.ingest import StreamTick
@@ -78,12 +77,7 @@ __all__ = [
     "verify_parity",
 ]
 
-#: Shard lifecycle states (parent-side bookkeeping).
-STARTING = "starting"
-LIVE = "live"
-RESTARTING = "restarting"
-DONE = "done"
-
+_NO_CACHE = "sharded ingest needs the artifact cache for partition snapshots (REPRO_CACHE=off)"
 
 # ---------------------------------------------------------------------------
 # Worker side
@@ -243,23 +237,15 @@ def shard_main(
       set, the shard has resealed that many partition snapshots; it
       SIGKILLs itself right after this message.
 
-    Shutdown signals are ignored here: the *parent* owns signal policy
-    and coordinates a drain through ``stop_event``, so a terminal ^C
-    cannot kill a shard mid-snapshot.
+    A supervised shard ignores shutdown signals (the supervision core's
+    child bootstrap): the *parent* owns signal policy and coordinates a
+    drain through ``stop_event``, so a terminal ^C cannot kill a shard
+    mid-snapshot.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     from repro.core.artifacts import default_cache
 
     if not default_cache().enabled:
-        result_queue.put(
-            (
-                "fatal",
-                shard_id,
-                "the artifact cache is disabled (REPRO_CACHE=off); "
-                "sharded ingest needs it for partition snapshots",
-            )
-        )
+        result_queue.put(("fatal", shard_id, _NO_CACHE))
         return
     try:
         specs = plan.assignment().get(shard_id, ())
@@ -277,13 +263,7 @@ def shard_main(
         def halt() -> None:
             if next(seals) == halt_after_seals:
                 result_queue.put(("halted", shard_id))
-                # Die by SIGKILL only once the feeder thread has sent the
-                # message and released the queue's write lock: a process
-                # killed while it holds that lock leaves it held, and no
-                # other shard's message ever reaches the parent again.
-                result_queue.close()
-                result_queue.join_thread()
-                os.kill(os.getpid(), signal.SIGKILL)
+                die(result_queue)
 
         for run in runs.values():
             run.on_seal = halt
@@ -356,18 +336,15 @@ class ShardRunnerOptions:
     max_restarts: int = 3
     #: First respawn delay; doubles per consecutive restart.
     restart_backoff_s: float = 0.5
-    #: ``multiprocessing`` start method (spawn is fork-safe everywhere).
-    start_method: str = "spawn"
 
     def __post_init__(self) -> None:
-        if self.liveness_deadline_s <= 0:
-            raise StreamingError("liveness_deadline_s must be positive")
-        if self.max_restarts < 0:
-            raise StreamingError("max_restarts must be non-negative")
-        if self.restart_backoff_s <= 0:
-            raise StreamingError("restart_backoff_s must be positive")
+        self.policy()  # validates the liveness and restart fields
         if self.kill_shard_after_seals is not None and self.kill_shard_after_seals < 1:
             raise StreamingError("kill_shard_after_seals must be >= 1")
+
+    def policy(self) -> RestartPolicy:
+        """The liveness deadline, restart budget and backoff of every shard."""
+        return RestartPolicy(self.liveness_deadline_s, self.max_restarts, self.restart_backoff_s)
 
 
 @dataclass
@@ -385,6 +362,7 @@ class IngestReport:
     drain_clean: bool
     #: Whether a stop was requested at all.
     interrupted: bool
+    #: Shard respawns performed.
     restarts: int
     #: Chaos-killed shard id, when the kill hook fired.
     killed_shard: Optional[int]
@@ -395,43 +373,6 @@ class IngestReport:
     def ticks_per_s(self) -> float:
         """Sustained throughput over the run's wall clock."""
         return self.ticks / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready form for the CLI and the benchmark."""
-        return {
-            "n_shards": self.n_shards,
-            "topics": list(self.topics),
-            "ticks": self.ticks,
-            "elapsed_s": self.elapsed_s,
-            "ticks_per_s": self.ticks_per_s,
-            "completed": self.completed,
-            "drain_clean": self.drain_clean,
-            "interrupted": self.interrupted,
-            "restarts": self.restarts,
-            "killed_shard": self.killed_shard,
-            "shards": {str(sid): stats for sid, stats in sorted(self.shards.items())},
-        }
-
-
-class _ShardSlot:
-    """Parent-side bookkeeping for one shard slot."""
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.state = STARTING
-        self.process: Optional[Any] = None
-        self.heartbeat: Optional[Any] = None
-        self.restarts = 0
-        self.respawn_at: Optional[float] = None
-        self.dead_since: Optional[float] = None
-        self.stats: Optional[Dict[str, Any]] = None
-
-    @property
-    def done(self) -> bool:
-        return self.state == DONE
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
 
 
 def run_ingest(
@@ -452,62 +393,33 @@ def run_ingest(
     from repro.core.artifacts import default_cache
 
     if not default_cache().enabled:
-        raise StreamingError(
-            "sharded ingest needs the artifact cache for partition snapshots "
-            "(REPRO_CACHE=off)"
-        )
+        raise StreamingError(_NO_CACHE)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     topics = tuple(spec.topic for spec in plan.partitions())
 
-    ctx = multiprocessing.get_context(options.start_method)
-    result_queue = ctx.Queue()
-    stop_event = ctx.Event()
-    slots = {shard_id: _ShardSlot(shard_id) for shard_id in range(plan.n_shards)}
-    chaos_target = None
-    if options.kill_shard_after_seals is not None:
-        chaos_target = next(
-            (sid for sid, specs in sorted(plan.assignment().items()) if specs), None
-        )
+    result_queue = SPAWN.Queue()
+    stop_event = SPAWN.Event()
+    # The chaos hook's target: the first shard that owns partitions.
+    chaos_target = next((sid for sid, specs in sorted(plan.assignment().items()) if specs), None)
 
-    def spawn(slot: _ShardSlot, resume: bool, halt_after_seals: Optional[int] = None) -> None:
-        slot.heartbeat = ctx.Value("d", time.monotonic())
-        slot.dead_since = None
-        slot.respawn_at = None
-        slot.state = STARTING
-        slot.process = ctx.Process(
-            target=shard_main,
-            args=(
-                slot.shard_id,
-                plan,
-                str(out),
-                resume,
-                slot.heartbeat,
-                result_queue,
-                stop_event,
-                halt_after_seals,
-            ),
-            name=f"repro-ingest-shard-{slot.shard_id}",
-            daemon=True,
-        )
-        slot.process.start()
+    def shard_args(slot: Slot) -> tuple:
+        # A respawn always resumes; only a first incarnation can halt.
+        first = slot.restarts == 0
+        halt = options.kill_shard_after_seals if first and slot.sid == chaos_target else None
+        resume = options.resume or not first
+        return (slot.sid, plan, str(out), resume, slot.heartbeat, result_queue, stop_event, halt)
 
-    def kill_all() -> None:
-        for slot in slots.values():
-            if slot.alive():
-                slot.process.kill()
-                slot.process.join(timeout=2.0)
-
+    pool = Pool(plan.n_shards, options.policy(), shard_main, shard_args)
     started = time.monotonic()
     killed_shard: Optional[int] = None
-    restarts_total = 0
+    shards_stats: Dict[int, Dict[str, Any]] = {}
     stop_signalled = False
 
     with GracefulShutdown() as stop:
-        for slot in slots.values():
-            halt = options.kill_shard_after_seals if slot.shard_id == chaos_target else None
-            spawn(slot, options.resume, halt)
-        while not all(slot.done for slot in slots.values()):
+        for slot in pool.slots:
+            pool.spawn(slot, started)
+        while not all(slot.state == STOPPED for slot in pool.slots):
             if stop.triggered and not stop_signalled:
                 stop_event.set()
                 stop_signalled = True
@@ -519,70 +431,30 @@ def run_ingest(
                 except queue_mod.Empty:
                     break
                 kind, shard_id = message[0], message[1]
-                slot = slots[shard_id]
+                slot = pool.slots[shard_id]
                 if kind == "ready":
                     if slot.state == STARTING:
                         slot.state = LIVE
                 elif kind == "done":
-                    slot.state = DONE
-                    slot.stats = message[2]
+                    slot.state = STOPPED
+                    shards_stats[shard_id] = message[2]
                 elif kind == "halted":
                     # Chaos: the shard SIGKILLs itself at its trigger
                     # point; the liveness pass below respawns it.
                     killed_shard = shard_id
                 elif kind == "fatal":
-                    kill_all()
+                    pool.close(0.0)
+                    raise StreamingError(f"ingest shard {shard_id} failed: {message[2]}")
+            for slot, event in pool.check(time.monotonic()):
+                if event == "exhausted":
+                    pool.close(0.0)
                     raise StreamingError(
-                        f"ingest shard {shard_id} failed: {message[2]}"
-                    )
-            now = time.monotonic()
-            for slot in slots.values():
-                if slot.done:
-                    continue
-                if slot.respawn_at is not None:
-                    if now >= slot.respawn_at:
-                        restarts_total += 1
-                        spawn(slot, resume=True)
-                    continue
-                hung = (
-                    slot.state == LIVE
-                    and slot.heartbeat is not None
-                    and now - slot.heartbeat.value > options.liveness_deadline_s
-                )
-                if slot.alive() and not hung:
-                    slot.dead_since = None
-                    continue
-                if hung and slot.alive():
-                    slot.process.kill()
-                elif not hung:
-                    # A dead process may still have its "done" in flight
-                    # through the queue's feeder pipe: grant a short
-                    # grace before treating the exit as a crash.
-                    if slot.dead_since is None:
-                        slot.dead_since = now
-                        continue
-                    if now - slot.dead_since < 1.0:
-                        continue
-                if slot.restarts >= options.max_restarts:
-                    kill_all()
-                    raise StreamingError(
-                        f"ingest shard {slot.shard_id} exceeded its restart "
+                        f"ingest shard {slot.sid} exceeded its restart "
                         f"budget ({options.max_restarts})"
                     )
-                slot.restarts += 1
-                slot.state = RESTARTING
-                slot.dead_since = None
-                slot.respawn_at = now + options.restart_backoff_s * (
-                    2 ** (slot.restarts - 1)
-                )
 
     elapsed = time.monotonic() - started
-    for slot in slots.values():
-        if slot.process is not None:
-            slot.process.join(timeout=5.0)
-    shards_stats = {
-        slot.shard_id: slot.stats for slot in slots.values() if slot.stats is not None
-    }
+    pool.close(5.0)
     completed = all(stats.get("completed") for stats in shards_stats.values())
     ticks = sum(
         partition["n_ticks"]
@@ -595,9 +467,10 @@ def run_ingest(
         ticks=ticks,
         elapsed_s=elapsed,
         completed=completed,
-        drain_clean=not stop_signalled or all(s.done for s in slots.values()),
+        # The loop above only ends once every shard reported done.
+        drain_clean=True,
         interrupted=stop_signalled,
-        restarts=restarts_total,
+        restarts=sum(slot.restarts for slot in pool.slots),
         killed_shard=killed_shard,
         shards=shards_stats,
     )

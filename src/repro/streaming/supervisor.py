@@ -7,13 +7,12 @@ PredictionService` from one shared, named pipeline snapshot in the
 artifact cache, and routes request payloads to them over bounded
 per-worker queues.  Everything that can go wrong is handled explicitly:
 
-* **Crash detection** — a worker whose process dies is respawned from
-  the same sealed snapshot, with exponential backoff and a bounded
-  restart budget; a worker that exhausts the budget is *downgraded*
-  (permanently removed) and the survivors keep serving.
-* **Hang detection** — workers write a monotonic heartbeat every loop
-  iteration; a heartbeat older than the liveness deadline gets the
-  worker killed and respawned like a crash.
+* **Crash and hang detection** — worker slots, heartbeats, the
+  liveness deadline and the respawn backoff and budget belong to the
+  shared supervision core (:mod:`repro.core.supervise`); a dead worker
+  is respawned from the same sealed snapshot, and one that exhausts the
+  budget is *downgraded* (permanently removed) while the survivors
+  keep serving.  Workers ignore SIGINT/SIGTERM: the server drains them.
 * **No lost accepted requests** — requests in flight on a dead worker
   are re-dispatched to the survivors; duplicates from races (a timeout
   retry overtaking a slow first answer) are resolved first-answer-wins.
@@ -33,14 +32,25 @@ cannot tell which worker answered.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import queue as queue_mod
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.core.supervise import (
+    DYING,
+    FAILED,
+    LIVE,
+    RESTARTING,
+    STARTING,
+    STOPPED,
+    Pool,
+    RestartPolicy,
+    Slot,
+    die,
+)
 from repro.errors import ReproError, ServiceOverloadError, ServingError, SnapshotError
 
 __all__ = [
@@ -49,14 +59,6 @@ __all__ = [
     "Supervisor",
     "worker_main",
 ]
-
-#: Worker lifecycle states (kept as strings: they travel through JSON).
-STARTING = "starting"
-LIVE = "live"
-RESTARTING = "restarting"
-FAILED = "failed"
-STOPPED = "stopped"
-
 
 @dataclass(frozen=True)
 class WorkerPoolConfig:
@@ -84,19 +86,19 @@ class WorkerPoolConfig:
     restart_backoff_s: float = 0.1
     #: How long :meth:`Supervisor.start` waits for the pool to come up.
     start_timeout_s: float = 60.0
-    #: ``multiprocessing`` start method (``spawn`` is fork-safe with the
-    #: supervisor's own threads; ``fork`` is faster to boot).
-    start_method: str = "spawn"
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ServingError("a worker pool needs at least one worker")
         if self.max_queue < 1 or self.max_batch < 1:
             raise ServingError("max_queue and max_batch must be positive")
-        if self.request_timeout_s <= 0 or self.liveness_deadline_s <= 0:
-            raise ServingError("timeouts must be positive")
-        if self.max_restarts < 0:
-            raise ServingError("max_restarts must be non-negative")
+        if self.request_timeout_s <= 0:
+            raise ServingError("request_timeout_s must be positive")
+        self.policy()  # validates the liveness and restart fields
+
+    def policy(self) -> RestartPolicy:
+        """The liveness deadline, restart budget and backoff of every slot."""
+        return RestartPolicy(self.liveness_deadline_s, self.max_restarts, self.restart_backoff_s)
 
 
 @dataclass
@@ -110,7 +112,7 @@ class PoolStats:
     shed: int = 0
     #: Re-dispatches (timeout retry or crash re-dispatch).
     retried: int = 0
-    #: Worker respawns (crash or hang).
+    #: Worker respawns performed (crash or hang).
     restarts: int = 0
     #: Requests that missed their deadline on two different workers.
     deadline_misses: int = 0
@@ -119,15 +121,7 @@ class PoolStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict form for reports and the stats control command."""
-        return {
-            "served": self.served,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "retried": self.retried,
-            "restarts": self.restarts,
-            "deadline_misses": self.deadline_misses,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 def worker_main(
@@ -142,8 +136,8 @@ def worker_main(
 
     Protocol (over the two queues):
 
-    * in  — ``("req", seq, payload)``, ``("hang", seconds)`` (chaos
-      hook), ``("stop",)``;
+    * in  — ``("req", seq, payload)``, ``("hang", seconds)`` and
+      ``("die",)`` (chaos hooks), ``("stop",)``;
     * out — ``("ready", wid)``, ``("ok", seq, wid, payload)``,
       ``("err", seq, wid, message)``, ``("fatal", wid, message)``,
       ``("bye", wid, stats)``.
@@ -193,7 +187,11 @@ def worker_main(
         requests: List[tuple] = []
         for item in batch:
             kind = item[0]
-            if kind == "stop":
+            if kind == "die":
+                # Chaos: flush what was answered, then SIGKILL; the rest
+                # of this batch is re-dispatched by the supervisor.
+                die(response_queue)
+            elif kind == "stop":
                 stopping = True
             elif kind == "hang":
                 time.sleep(float(item[1]))  # chaos: stall the heartbeat
@@ -240,34 +238,6 @@ class _Inflight:
     retried_on_timeout: bool = False
 
 
-class _WorkerSlot:
-    """Supervisor-side bookkeeping for one worker slot."""
-
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.state = STARTING
-        self.process: Optional[Any] = None
-        self.request_queue: Optional[Any] = None
-        self.heartbeat: Optional[Any] = None
-        self.restarts = 0
-        self.respawn_at = 0.0
-        #: Sheds this worker contributed to (its queue was full when a
-        #: submit had to be refused) — the per-worker saturation signal
-        #: the autoscaling follow-on watches.
-        self.shed = 0
-        #: Seqs currently dispatched to this worker.
-        self.inflight: set = set()
-        #: Final ServiceStats reported by a cleanly stopped worker.
-        self.final_stats: Optional[Dict[str, Any]] = None
-
-    @property
-    def accepting(self) -> bool:
-        return self.state in (STARTING, LIVE)
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-
 class Supervisor:
     """Owns the worker pool; thread-safe; usable with or without asyncio.
 
@@ -281,9 +251,17 @@ class Supervisor:
         """Create an un-started pool; :meth:`start` boots the workers."""
         self.config = config or WorkerPoolConfig()
         self.stats = PoolStats()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        n = self.config.n_workers
+        self._pool = Pool(n, self.config.policy(), worker_main, self._worker_args)
+        self._slots = self._pool.slots
         self._response_queue: Optional[Any] = None
-        self._slots: List[_WorkerSlot] = []
+        #: Per worker: its current incarnation's request queue, the seqs
+        #: dispatched to it, the sheds it contributed to (its queue was
+        #: full when a submit was refused) and its final ServiceStats.
+        self._queues: List[Any] = [None] * n
+        self._held: List[set] = [set() for _ in range(n)]
+        self._shed = [0] * n
+        self._final_stats: Dict[int, Dict[str, Any]] = {}
         self._inflight: Dict[int, _Inflight] = {}
         #: Requests waiting for *any* worker to come back.
         self._parked: List[_Inflight] = []
@@ -291,9 +269,6 @@ class Supervisor:
         self._seqs = itertools.count(1)
         self._route = itertools.count(0)
         self._stop_event = threading.Event()
-        #: Set (under the lock) once shutdown starts sending stops; no
-        #: slot respawns after that, so none can miss its stop message.
-        self._stopping = False
         self._accepting = False
         self._fatal: Optional[str] = None
         self._collector: Optional[threading.Thread] = None
@@ -310,10 +285,10 @@ class Supervisor:
         # snapshot before any worker boots, and it is what the server
         # writes back as the final snapshot on graceful drain.
         self.pipeline = load_snapshot(self.config.snapshot_name, required=True)
-        self._response_queue = self._ctx.Queue()
-        self._slots = [_WorkerSlot(i) for i in range(self.config.n_workers)]
+        self._response_queue = self._pool.ctx.Queue()
+        now = time.monotonic()
         for slot in self._slots:
-            self._spawn(slot)
+            self._pool.spawn(slot, now)
         self._accepting = True
         self._collector = threading.Thread(
             target=self._collect_loop, name="repro-serve-collector", daemon=True
@@ -337,25 +312,11 @@ class Supervisor:
             f"worker pool did not come up within {self.config.start_timeout_s:g}s"
         )
 
-    def _spawn(self, slot: _WorkerSlot) -> None:
-        """Boot (or re-boot) one worker slot."""
-        slot.request_queue = self._ctx.Queue()
-        slot.heartbeat = self._ctx.Value("d", time.monotonic())
-        slot.state = STARTING
-        slot.process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                slot.worker_id,
-                self.config.snapshot_name,
-                slot.request_queue,
-                self._response_queue,
-                slot.heartbeat,
-                self.config,
-            ),
-            name=f"repro-serve-worker-{slot.worker_id}",
-            daemon=True,
-        )
-        slot.process.start()
+    def _worker_args(self, slot: Slot) -> tuple:
+        """Arguments of one worker incarnation; each gets a fresh queue."""
+        queue = self._queues[slot.sid] = self._pool.ctx.Queue()
+        config = self.config
+        return (slot.sid, config.snapshot_name, queue, self._response_queue, slot.heartbeat, config)
 
     # -- submission --------------------------------------------------------
 
@@ -368,7 +329,7 @@ class Supervisor:
     def worker_states(self) -> Dict[int, str]:
         """Worker id → lifecycle state (for the stats command)."""
         with self._lock:
-            return {slot.worker_id: slot.state for slot in self._slots}
+            return {slot.sid: slot.state for slot in self._slots}
 
     def submit(self, payload: Dict[str, Any]) -> "Future[Dict[str, Any]]":
         """Accept one request payload; resolves to a response payload.
@@ -394,7 +355,7 @@ class Supervisor:
             )
             slot = self._pick_slot(exclude=None)
             if slot is None:
-                if any(slot_.state == RESTARTING for slot_ in self._slots) and not any(
+                if any(slot_.state in (DYING, RESTARTING) for slot_ in self._slots) and not any(
                     slot_.state == LIVE for slot_ in self._slots
                 ):
                     # Nobody live right now but somebody is coming back:
@@ -407,21 +368,21 @@ class Supervisor:
                 self.stats.shed += 1
                 for slot_ in self._slots:
                     if slot_.state == LIVE:
-                        slot_.shed += 1
+                        self._shed[slot_.sid] += 1
                 raise ServiceOverloadError(
                     "every live worker's request queue is full"
                 )
             self._dispatch(entry, slot)
         return future
 
-    def _pick_slot(self, exclude: Optional[int]) -> Optional[_WorkerSlot]:
+    def _pick_slot(self, exclude: Optional[int]) -> Optional[Slot]:
         """Round-robin over live workers with queue headroom (lock held)."""
         candidates = [
             slot
             for slot in self._slots
             if slot.state == LIVE
-            and slot.worker_id != exclude
-            and len(slot.inflight) < self.config.max_queue
+            and slot.sid != exclude
+            and len(self._held[slot.sid]) < self.config.max_queue
         ]
         if not candidates:
             # A retry that cannot avoid its own worker beats dropping.
@@ -431,40 +392,45 @@ class Supervisor:
         turn = next(self._route)
         return candidates[turn % len(candidates)]
 
-    def _dispatch(self, entry: _Inflight, slot: _WorkerSlot) -> None:
+    def _dispatch(self, entry: _Inflight, slot: Slot) -> None:
         """Hand one inflight entry to a slot (lock held)."""
-        entry.worker_id = slot.worker_id
+        entry.worker_id = slot.sid
         entry.attempts += 1
         entry.deadline = time.monotonic() + self.config.request_timeout_s
         self._inflight[entry.seq] = entry
-        slot.inflight.add(entry.seq)
-        slot.request_queue.put(("req", entry.seq, entry.payload))
+        self._held[slot.sid].add(entry.seq)
+        self._queues[slot.sid].put(("req", entry.seq, entry.payload))
 
     # -- chaos hooks -------------------------------------------------------
 
     def kill_worker(self, worker_id: Optional[int] = None) -> Optional[int]:
-        """SIGKILL one live worker (fault injection); returns its id."""
-        with self._lock:
-            live = [slot for slot in self._slots if slot.state == LIVE and slot.alive()]
-            if not live:
-                return None
-            if worker_id is not None:
-                live = [slot for slot in live if slot.worker_id == worker_id] or live
-            target = live[next(self._route) % len(live)]
-        target.process.kill()
-        return target.worker_id
+        """Make one live worker SIGKILL itself (fault injection); its id.
+
+        The worker dies when it reads the message, after flushing the
+        answers it already sent, so it never dies holding the shared
+        response queue's write lock; its unanswered requests are
+        re-dispatched like any crash's.  From now on it is DYING: no
+        request is routed to it, and it reads live again only once its
+        respawn is ready.
+        """
+        return self._inject(("die",), worker_id, DYING)
 
     def hang_worker(self, seconds_s: float, worker_id: Optional[int] = None) -> Optional[int]:
         """Make one live worker sleep (fault injection); returns its id."""
+        return self._inject(("hang", float(seconds_s)), worker_id, LIVE)
+
+    def _inject(self, message: tuple, worker_id: Optional[int], state: str) -> Optional[int]:
+        """Queue a chaos message for one live worker, set its state; its id."""
         with self._lock:
             live = [slot for slot in self._slots if slot.state == LIVE]
             if not live:
                 return None
             if worker_id is not None:
-                live = [slot for slot in live if slot.worker_id == worker_id] or live
+                live = [slot for slot in live if slot.sid == worker_id] or live
             target = live[next(self._route) % len(live)]
-            target.request_queue.put(("hang", float(seconds_s)))
-        return target.worker_id
+            self._queues[target.sid].put(message)
+            target.state = state
+        return target.sid
 
     # -- background threads ------------------------------------------------
 
@@ -500,16 +466,15 @@ class Supervisor:
             return
         if kind == "bye":
             with self._lock:
-                slot = self._slots[message[1]]
-                slot.final_stats = message[2]
-                slot.state = STOPPED
+                self._final_stats[message[1]] = message[2]
+                self._slots[message[1]].state = STOPPED
             return
         if kind in ("ok", "err"):
             _, seq, worker_id, body = message
             with self._lock:
                 entry = self._inflight.pop(seq, None)
-                for slot in self._slots:
-                    slot.inflight.discard(seq)
+                for held in self._held:
+                    held.discard(seq)
                 if entry is None:
                     return  # duplicate answer after a retry: first wins
                 if kind == "ok":
@@ -525,49 +490,22 @@ class Supervisor:
             time.sleep(self.config.poll_interval_s)
             now = time.monotonic()
             with self._lock:
-                for slot in self._slots:
-                    self._check_worker_locked(slot, now)
+                for slot, event in self._pool.check(now):
+                    if event == "respawned":
+                        self.stats.restarts += 1
+                    else:
+                        self._orphan_locked(slot, cause=event)
                 self._check_deadlines_locked(now)
                 self._unpark_locked()
 
-    def _check_worker_locked(self, slot: _WorkerSlot, now: float) -> None:
-        if slot.state in (FAILED, STOPPED):
-            return
-        if slot.state == RESTARTING:
-            if now >= slot.respawn_at and not self._stopping:
-                self.stats.restarts += 1
-                self._spawn(slot)
-            return
-        hung = (
-            slot.state == LIVE
-            and slot.heartbeat is not None
-            and now - slot.heartbeat.value > self.config.liveness_deadline_s
-        )
-        if slot.alive() and not hung:
-            return
-        if hung and slot.alive():
-            slot.process.kill()
-        self._on_worker_death_locked(slot, now, reason="hang" if hung else "crash")
-
-    def _on_worker_death_locked(self, slot: _WorkerSlot, now: float, reason: str) -> None:
-        """Re-dispatch the dead worker's requests; schedule the respawn."""
-        orphans = [
-            self._inflight[seq] for seq in sorted(slot.inflight) if seq in self._inflight
-        ]
-        slot.inflight.clear()
-        if slot.request_queue is not None:
-            slot.request_queue.cancel_join_thread()
-        if slot.restarts >= self.config.max_restarts:
-            slot.state = FAILED  # permanent downgrade; survivors carry on
-        else:
-            slot.restarts += 1
-            slot.state = RESTARTING
-            slot.respawn_at = now + self.config.restart_backoff_s * (
-                2 ** (slot.restarts - 1)
-            )
+    def _orphan_locked(self, slot: Slot, cause: str) -> None:
+        """Re-dispatch a dead worker's requests to the survivors."""
+        held = self._held[slot.sid]
+        orphans = [self._inflight.pop(seq) for seq in sorted(held) if seq in self._inflight]
+        held.clear()
+        self._queues[slot.sid].cancel_join_thread()
         for entry in orphans:
-            del self._inflight[entry.seq]
-            self._redispatch_locked(entry, exclude=slot.worker_id, cause=reason)
+            self._redispatch_locked(entry, exclude=slot.sid, cause=cause)
 
     def _check_deadlines_locked(self, now: float) -> None:
         for seq in list(self._inflight):
@@ -575,8 +513,8 @@ class Supervisor:
             if now < entry.deadline:
                 continue
             del self._inflight[seq]
-            for slot in self._slots:
-                slot.inflight.discard(seq)
+            for held in self._held:
+                held.discard(seq)
             if entry.retried_on_timeout:
                 self.stats.deadline_misses += 1
                 entry.future.set_result(
@@ -590,7 +528,7 @@ class Supervisor:
         """Give an orphaned/timed-out request to a different worker."""
         slot = self._pick_slot(exclude=exclude)
         if slot is None:
-            if any(slot_.state in (RESTARTING, STARTING) for slot_ in self._slots):
+            if any(slot_.state in (STARTING, DYING, RESTARTING) for slot_ in self._slots):
                 self._parked.append(entry)
                 return
             self.stats.failed += 1
@@ -629,13 +567,9 @@ class Supervisor:
         """
         self._accepting = False
         deadline = time.monotonic() + timeout_s
-        clean = True
-        while time.monotonic() < deadline:
-            if self.pending() == 0:
-                break
+        while self.pending() and time.monotonic() < deadline:
             time.sleep(0.02)
-        else:
-            clean = False
+        clean = self.pending() == 0
         self.shutdown(timeout_s=max(2.0, deadline - time.monotonic()))
         with self._lock:
             leftovers = list(self._inflight.values()) + self._parked
@@ -652,20 +586,12 @@ class Supervisor:
     def shutdown(self, timeout_s: float = 5.0) -> None:
         """Stop workers and background threads (idempotent, no draining)."""
         with self._lock:
-            self._stopping = True
-            slots = list(self._slots)
-            for slot in slots:
-                if slot.accepting and slot.request_queue is not None:
-                    slot.request_queue.put(("stop",))
-        deadline = time.monotonic() + timeout_s
-        for slot in slots:
-            if slot.process is None:
-                continue
-            remaining = max(0.05, deadline - time.monotonic())
-            slot.process.join(timeout=remaining)
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(timeout=1.0)
+            # Under the lock, so no slot respawns after missing its stop.
+            self._pool.stop()
+            for slot in self._slots:
+                if slot.state in (STARTING, LIVE) and self._queues[slot.sid] is not None:
+                    self._queues[slot.sid].put(("stop",))
+        self._pool.close(timeout_s)
         self._stop_event.set()
         for thread in (self._collector, self._monitor):
             if thread is not None and thread.is_alive():
@@ -676,27 +602,23 @@ class Supervisor:
     def worker_service_stats(self) -> Dict[int, Dict[str, Any]]:
         """Per-worker ServiceStats reported at clean worker exit."""
         with self._lock:
-            return {
-                slot.worker_id: dict(slot.final_stats)
-                for slot in self._slots
-                if slot.final_stats is not None
-            }
+            return {wid: dict(stats) for wid, stats in self._final_stats.items()}
 
     def per_worker_stats(self) -> Dict[int, Dict[str, Any]]:
         """Per-worker operational signals: state, queue depth, failures.
 
         ``queue_depth`` is the worker's current in-flight count against
         its bounded queue; ``restarts``/``shed`` are that slot's own
-        respawn and saturation counters.  Together these are the
-        per-worker load signals a worker-autoscaler needs.
+        performed respawns and saturation counters.  Together these are
+        the per-worker load signals a worker-autoscaler needs.
         """
         with self._lock:
             return {
-                slot.worker_id: {
+                slot.sid: {
                     "state": slot.state,
-                    "queue_depth": len(slot.inflight),
+                    "queue_depth": len(self._held[slot.sid]),
                     "restarts": slot.restarts,
-                    "shed": slot.shed,
+                    "shed": self._shed[slot.sid],
                 }
                 for slot in self._slots
             }

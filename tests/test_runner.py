@@ -137,8 +137,6 @@ class TestRunnerOptions:
             RunnerOptions(timeout_s=0.0)
         with pytest.raises(ExperimentError, match="retries"):
             RunnerOptions(retries=-1)
-        with pytest.raises(ExperimentError, match="backoff_s"):
-            RunnerOptions(backoff_s=-0.1)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_TIMEOUT_S", "12.5")
@@ -157,15 +155,6 @@ class TestRunnerOptions:
     def test_from_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_TIMEOUT_S", "soon")
         with pytest.raises(ExperimentError, match="REPRO_RUNNER_TIMEOUT_S"):
-            RunnerOptions.from_env()
-
-    def test_from_env_reads_backoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_BACKOFF_S", "0.75")
-        assert RunnerOptions.from_env().backoff_s == 0.75
-
-    def test_from_env_rejects_garbage_backoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_BACKOFF_S", "a while")
-        with pytest.raises(ExperimentError, match="REPRO_RUNNER_BACKOFF_S"):
             RunnerOptions.from_env()
 
 
@@ -217,7 +206,7 @@ class TestFailureIsolation:
             ["fig2", "fig3"],
             days=7.0,
             jobs=2,
-            options=RunnerOptions(retries=1, backoff_s=0.01),
+            options=RunnerOptions(retries=1),
         )
         assert [i for i, _ in report.results] == ["fig2"]
         (failure,) = report.failures
@@ -236,7 +225,7 @@ class TestFailureIsolation:
 
         monkeypatch.setattr(EXPERIMENTS["fig3"], "run", _flaky)
         report = run_experiments_detailed(
-            ["fig3"], days=7.0, options=RunnerOptions(retries=1, backoff_s=0.01)
+            ["fig3"], days=7.0, options=RunnerOptions(retries=1)
         )
         assert report.ok
         assert report.results == [("fig3", "== fig3: recovered ==")]
@@ -247,7 +236,7 @@ class TestFailureIsolation:
 
         monkeypatch.setattr(EXPERIMENTS["fig3"], "run", _always)
         report = run_experiments_detailed(
-            ["fig3"], days=7.0, options=RunnerOptions(retries=1, backoff_s=0.01)
+            ["fig3"], days=7.0, options=RunnerOptions(retries=1)
         )
         (failure,) = report.failures
         assert failure.error_type == "RuntimeError"
@@ -334,7 +323,7 @@ class TestPooledContextTask:
         monkeypatch.setattr(graph_mod, "run_context_task", _die)
         waves = _spy_pool_waves(monkeypatch)
         report = run_experiments_detailed(
-            self.IDS, days=7.0, jobs=2, options=RunnerOptions(retries=1, backoff_s=0.01)
+            self.IDS, days=7.0, jobs=2, options=RunnerOptions(retries=1)
         )
         assert waves[0] == [CONTEXT_TASK_ID]
         assert report.ok

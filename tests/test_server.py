@@ -110,8 +110,6 @@ class TestWorkerPoolConfig:
             {"max_queue": 0},
             {"max_batch": 0},
             {"request_timeout_s": 0.0},
-            {"liveness_deadline_s": 0.0},
-            {"max_restarts": -1},
         ],
     )
     def test_invalid_config_raises_typed_error(self, kwargs):

@@ -5,15 +5,19 @@ stream`` drains between ticks and seals a named snapshot whose restored
 pipeline resumes tick-for-tick; snapshots round-trip across a real
 process boundary with byte-identical predictions; and a corrupt or
 missing snapshot surfaces as the typed :class:`SnapshotError`, never a
-pickle traceback.
+pickle traceback.  A terminal ^C (SIGINT to the whole process group)
+drains ``repro serve`` and ``repro ingest`` cleanly: their supervised
+children ignore it and stop through the parent's drain.
 """
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -230,3 +234,67 @@ class TestSnapshotRecovery:
         assert save_snapshot("test-disabled", fresh_pipeline(dataset), disabled) is None
         with pytest.raises(SnapshotError, match="disabled"):
             load_snapshot("test-disabled", cache=disabled, required=True)
+
+
+def _repro_process(argv):
+    """``repro ARGV`` in its own session (so it has its own process group)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from repro.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=REPO_ROOT,
+        env=env,
+        start_new_session=True,
+    )
+
+
+class TestTerminalInterrupt:
+    """``killpg(SIGINT)`` — what a terminal ^C does — drains, never kills."""
+
+    SNAPSHOT = "test-sigint-serve"
+
+    @pytest.fixture(scope="class")
+    def sealed(self, dataset):
+        pipeline = fresh_pipeline(dataset)
+        pipeline.run(ReplaySource(dataset))
+        assert save_snapshot(self.SNAPSHOT, pipeline) is not None
+        return self.SNAPSHOT
+
+    @pytest.mark.parametrize("command", ["serve", "ingest"])
+    def test_sigint_to_the_process_group_drains_clean(self, command, sealed, tmp_path):
+        if command == "serve":
+            proc = _repro_process(
+                ["serve", "--workers", "2", "--port", "0", "--restore", sealed]
+            )
+            # The line comes once every worker is live.
+            ready = proc.stdout.readline()
+            assert ready.startswith("serving on "), ready
+        else:
+            # 14 days, so the shards are still streaming when SIGINT lands.
+            proc = _repro_process(
+                ["ingest", "--buildings", "2", "--days", "14", "--shards", "2",
+                 "--out", str(tmp_path)]
+            )
+            # Each shard creates its record log once it is running.
+            deadline = time.monotonic() + 120.0
+            while len(list(tmp_path.glob("sharded/*.records.jsonl"))) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+        time.sleep(0.3)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert "drain clean" in err
+        assert "Traceback" not in err
+        assert "KeyboardInterrupt" not in err
+        if command == "serve":
+            assert re.search(r"restarts 0, deadline misses", err), err
+            workers = re.findall(r"worker (\d+): (\w+), .*restarts (\d+)", err)
+            assert [(state, restarts) for _, state, restarts in workers] == [
+                ("stopped", "0"),
+                ("stopped", "0"),
+            ], err
