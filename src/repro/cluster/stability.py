@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import comb
 
 from repro import rng as rng_mod
 from repro.cluster.spectral import cluster_sensors
@@ -34,6 +33,9 @@ def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> flo
 
     1 = identical partitions, ~0 = random agreement; can be negative.
     """
+    # Local import: scipy.special costs ~0.1 s and this module is on every process's import path.
+    from scipy.special import comb
+
     a = np.asarray(labels_a, dtype=int)
     b = np.asarray(labels_b, dtype=int)
     if a.shape != b.shape or a.ndim != 1:

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.contracts import ensure_finite
 from repro.data.dataset import AuditoriumDataset
 from repro.data.gaps import Segment
 from repro.data.modes import Mode
-from repro.errors import IdentificationError
+from repro.errors import ConfigurationError, IdentificationError
 from repro.sysid.models import ThermalModel
 
 __all__ = [
@@ -67,6 +66,8 @@ def one_step_residuals(
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Sample autocorrelation of a 1-D series for lags ``1..max_lag``."""
+    if max_lag < 1:
+        raise ConfigurationError(f"max_lag must be >= 1, got {max_lag}")
     series = np.asarray(series, dtype=float)
     series = series[np.isfinite(series)]
     n = series.size
@@ -98,6 +99,11 @@ class LjungBoxResult:
 
 def ljung_box(series: np.ndarray, lags: int = 10) -> LjungBoxResult:
     """Ljung–Box Q test on one residual series."""
+    if lags < 1:
+        raise ConfigurationError(f"lags must be >= 1, got {lags}")
+    # Local import: scipy.stats costs ~0.3 s and this module is on every process's import path.
+    from scipy import stats
+
     series = np.asarray(series, dtype=float)
     series = series[np.isfinite(series)]
     n = series.size

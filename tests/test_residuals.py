@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.modes import OCCUPIED
-from repro.errors import IdentificationError
+from repro.errors import ConfigurationError, IdentificationError
 from repro.sysid.identify import IdentificationOptions, identify
 from repro.sysid.residuals import (
     autocorrelation,
@@ -39,6 +39,12 @@ class TestAutocorrelation:
         with pytest.raises(IdentificationError):
             autocorrelation(np.ones(100), 5)
 
+    @pytest.mark.parametrize("max_lag", [0, -3])
+    def test_non_positive_lag_raises(self, max_lag):
+        series = np.random.default_rng(4).standard_normal(200)
+        with pytest.raises(ConfigurationError, match="max_lag"):
+            autocorrelation(series, max_lag)
+
 
 class TestLjungBox:
     def test_white_noise_passes(self):
@@ -55,6 +61,12 @@ class TestLjungBox:
         result = ljung_box(series)
         assert not result.is_white
         assert result.p_value < 1e-6
+
+    @pytest.mark.parametrize("lags", [0, -3])
+    def test_non_positive_lags_raise(self, lags):
+        series = np.random.default_rng(4).standard_normal(200)
+        with pytest.raises(ConfigurationError, match="lags"):
+            ljung_box(series, lags=lags)
 
 
 class TestResiduals:
