@@ -470,19 +470,21 @@ _FLEET_PARITY_FIELDS = (
 def _cmd_fleet(args) -> int:
     import numpy as np
 
+    from collections import Counter
+
     from repro.data.synth import generate_fleet
-    from repro.simulation.fleet import FleetConfig, FleetSimulator, build_fleet
+    from repro.simulation.fleet import FleetConfig, build_fleet, cohort_key
 
     config = FleetConfig(n_buildings=args.buildings, days=args.days, seed=args.seed)
     specs = build_fleet(config)
     fleet = generate_fleet(
         specs=specs, use_cache=not args.no_cache, chunk_steps=args.chunk_steps
     )
-    cohorts = FleetSimulator(specs).cohorts
+    cohorts = Counter(cohort_key(spec.simulator()) for spec in specs)
     print(
         f"fleet of {fleet.n_buildings} buildings, {args.days:g} days each, "
         f"{len(cohorts)} cohort(s) "
-        f"({', '.join(str(c.n_buildings) for c in cohorts)} buildings)"
+        f"({', '.join(str(size) for size in cohorts.values())} buildings)"
     )
     for spec, result in zip(fleet.specs, fleet.results):
         mean_temp = float(result.zone_temps.mean())

@@ -226,8 +226,10 @@ def ensure_unit_range(
     finite = np.isfinite(arr)
     if not finite.any():
         return value
-    low = float(np.nanmin(np.where(finite, arr, np.nan)))
-    high = float(np.nanmax(np.where(finite, arr, np.nan)))
+    # Reduce over the finite entries where they lie: a NaN-filled copy
+    # would double the memory of a whole simulation chunk for the check.
+    low = float(np.min(arr, where=finite, initial=np.inf))
+    high = float(np.max(arr, where=finite, initial=-np.inf))
     if low < lo or high > hi:
         raise ContractError(
             f"{name} has entries in [{low:.6g}, {high:.6g}] outside the physical "

@@ -9,8 +9,8 @@ the missing axis:
   variation from a seeded spec distribution (:class:`FleetConfig`),
 * a :class:`FleetPlan` — per-building :class:`~repro.simulation.kernels.
   KernelPlan` precomputes stacked into ``(B, ...)`` arrays, and
-* batched variants of the six step kernels operating on a leading
-  building dimension.
+* one fused step (``_Cohort._step``) running the six solo kernels over a
+  leading building dimension.
 
 **Parity guarantee.**  Running building *i* through the batched pass is
 ``np.array_equal`` to running its spec alone through
@@ -19,12 +19,15 @@ solo kernel exactly: per-building scalars become ``(B, 1)`` columns
 (elementwise float64 ufuncs apply the same IEEE operation per lane),
 matrix-vector taps become stacked ``np.matmul`` contractions (bitwise
 equal to the per-building ``@``), gathered reductions keep the same
-pairwise order, and branch selection (``occupied``, zero-flow) is done
-with pure ``np.where`` lane selection so no discarded lane can perturb
-a kept one.  Buildings are grouped into *cohorts* of identical array
-shape — ``(n_zones, n_vavs, substeps, diffuser wiring)`` — and each
-cohort integrates in one pass; RC parameters, calendars, noise and
-setpoints are free to differ within a cohort.
+order, and branch selection (``occupied``, zero-flow) is done with pure
+``np.where`` lane selection so no discarded lane can perturb a kept
+one.  Buildings are grouped into *cohorts* by :func:`cohort_key` —
+``(n_zones, substeps, n_diffusers)`` — and each cohort integrates in one
+pass.  The VAV axis is padded to the widest plant; a padded lane never
+enters a reduction, because every feeder gather reads either a real VAV
+or an always-zero lane, and every mean divides by the real feeder
+count.  RC parameters, plants, wiring, calendars, noise and setpoints
+are free to differ within a cohort.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from repro.simulation.humidity import (
     humidity_ratio_from_rh,
 )
 from repro.simulation.hvac import HVACConfig, HVACSchedule
+from repro.simulation.integrator import substep_count
 from repro.simulation.kernels import KernelPlan, SimulationChunk
 from repro.simulation.rc_network import AIR_CP, AIR_DENSITY, RCNetworkConfig
 from repro.simulation.simulator import (
@@ -74,14 +78,8 @@ __all__ = [
     "FleetChunk",
     "FleetResult",
     "FleetSimulator",
-    "FleetThermostatTap",
-    "FleetPlantStep",
-    "FleetDiffuserMix",
-    "FleetThermalIntegrate",
-    "FleetCO2Balance",
-    "FleetMoistureStep",
     "build_fleet",
-    "build_fleet_kernels",
+    "cohort_key",
     "seed_fleet",
 ]
 
@@ -276,9 +274,9 @@ def build_fleet(config: Optional[FleetConfig] = None) -> Tuple[BuildingSpec, ...
     Each building's draws come from an independent derived stream
     (``derive(seed, "fleet-building", index=i)``), so fleets of
     different sizes share their common prefix and adding a building
-    never perturbs the others.  The grid resolution is shared (all
-    fleet members have the same zone count) so buildings batch into a
-    handful of cohorts rather than one cohort per building.
+    never perturbs the others.  The grid resolution and diffuser count
+    are shared, so buildings batch into one cohort per sub-step count
+    (in practice one) rather than one cohort per building.
     """
     config = config or FleetConfig()
     specs: List[BuildingSpec] = []
@@ -376,9 +374,11 @@ class FleetPlan:
 
     Per-building scalars are carried as ``(B, 1)`` columns so broadcast
     against ``(B, n_vavs)``/``(B, n_zones)`` state applies the same
-    IEEE operation per lane as the solo scalar did.  Arrays that the
-    cohort key pins to be identical across members (gather indices,
-    sub-step schedule) stay unstacked.
+    IEEE operation per lane as the solo scalar did.  The VAV axis is
+    padded to the cohort's widest plant (``n_vavs``); each building's
+    real count is in ``vav_counts``.  Feeder gathers are flat indices
+    into the ``(B, n_vavs + 1)`` lanes of :class:`FleetState`, one row
+    per building, padded with the always-zero last column.
     """
 
     n_buildings: int
@@ -386,7 +386,11 @@ class FleetPlan:
     dt: float
     n_zones: int
     n_vavs: int
+    vav_counts: Tuple[int, ...]
     occupied: np.ndarray  # (B, N) bool
+    #: Per step: every lane occupied / any lane occupied.
+    occupied_all: List[bool]
+    occupied_any: List[bool]
     ambient: np.ndarray  # (B, N)
     occupancy_total: np.ndarray  # (B, N)
     zone_occupancy: np.ndarray  # (B, N, Z)
@@ -394,11 +398,13 @@ class FleetPlan:
     zone_heat_w: np.ndarray  # (B, N, Z)
     tstat_matrix: np.ndarray  # (B, 2, Z)
     tstat_noise: np.ndarray  # (B, N, 2)
-    diffuser_idx: List[np.ndarray]  # shared within the cohort
-    front_idx: np.ndarray
+    front_idx: np.ndarray  # (B, F) flat lane indices
+    front_count: np.ndarray  # (B,) real front feeders
+    diffuser_idx: np.ndarray  # (B, D, F) flat lane indices
+    diffuser_count: np.ndarray  # (B, D) real feeders, at least 1
     front_full_flow: np.ndarray  # (B,)
     thermostat_draft: np.ndarray  # (B,)
-    blend: np.ndarray  # (B, V, 2)
+    blend: np.ndarray  # (B, V, 2), zero rows on padded lanes
     setpoint: np.ndarray  # (B, 1)
     kp: np.ndarray  # (B, 1)
     ki: np.ndarray  # (B, 1)
@@ -408,7 +414,7 @@ class FleetPlan:
     vav_min_flow: np.ndarray  # (B, 1)
     vav_max_flow: np.ndarray  # (B, 1)
     vav_flow_span: np.ndarray  # (B, 1)
-    cold_deck_temp: np.ndarray  # (B,)
+    cold_deck_temp: np.ndarray  # (B, 1)
     reheat_max_temp: np.ndarray  # (B,)
     alpha_flow: np.ndarray  # (B, 1)
     alpha_temp: np.ndarray  # (B, 1)
@@ -424,34 +430,39 @@ class FleetPlan:
     fractions_t: np.ndarray  # (B, Z, D) diffuser->zone flow fractions, transposed
     substeps: int
     substep_h: float
-    #: Room balances.
+    #: Room balances; the exogenous terms are precomputed per step.
     room_volume: np.ndarray  # (B,)
     air_density: float
     air_mass: np.ndarray  # (B,)
-    occupant_moisture: float
-    outdoor_rh: float
+    co2_generation_ppm: np.ndarray  # (B, N)
+    moisture_generation: np.ndarray  # (B, N)
+    fresh_outdoor_ratio: np.ndarray  # (B, N) fresh fraction x outdoor ratio
     coil_saturation_fraction: float
 
 
 @dataclass
 class FleetState:
-    """Mutable cross-step state of one cohort, leading axis = building."""
+    """Mutable cross-step state of one cohort, leading axis = building.
+
+    ``vav_flows``/``vav_discharge`` are ``(B, V)`` views of ``(B, V + 1)``
+    lanes whose last column is never written: it stays zero, and every
+    padded feeder slot gathers from it.
+    """
 
     zone_temps: np.ndarray  # (B, Z)
     mass_temps: np.ndarray  # (B, Z)
-    vav_flows: np.ndarray  # (B, V)
-    vav_discharge: np.ndarray  # (B, V)
+    flow_lanes: np.ndarray  # (B, V + 1)
+    discharge_lanes: np.ndarray  # (B, V + 1)
     pi_integrators: np.ndarray  # (B, V)
     co2_ppm: np.ndarray  # (B,)
     moisture_ratio: np.ndarray  # (B,)
-    # -- per-step scratch --
-    tstat_reading: Optional[np.ndarray] = None  # (B, 2)
-    diffuser_flows: Optional[np.ndarray] = None  # (B, D)
-    diffuser_temps: Optional[np.ndarray] = None  # (B, D)
-    zone_flow_kgs: Optional[np.ndarray] = None  # (B, Z)
-    zone_supply_temp_c: Optional[np.ndarray] = None  # (B, Z)
-    zone_heat_w: Optional[np.ndarray] = None  # (B, Z)
-    ambient_c: Optional[np.ndarray] = None  # (B,)
+
+    vav_flows: np.ndarray = field(init=False)  # (B, V)
+    vav_discharge: np.ndarray = field(init=False)  # (B, V)
+
+    def __post_init__(self) -> None:
+        self.vav_flows = self.flow_lanes[:, :-1]
+        self.vav_discharge = self.discharge_lanes[:, :-1]
 
 
 @dataclass
@@ -461,9 +472,10 @@ class FleetChunk:
     index: int
     start: int
     stop: int
+    vav_counts: Tuple[int, ...]
     zone_temps: np.ndarray  # (B, rows, Z)
     mass_temps: np.ndarray
-    vav_flows: np.ndarray  # (B, rows, V)
+    vav_flows: np.ndarray  # (B, rows, V), V padded
     vav_temps: np.ndarray
     co2: np.ndarray  # (B, rows)
     humidity_ratio: np.ndarray
@@ -483,6 +495,7 @@ class FleetChunk:
             index=index,
             start=start,
             stop=stop,
+            vav_counts=plan.vav_counts,
             zone_temps=np.empty((b, rows, plan.n_zones)),
             mass_temps=np.empty((b, rows, plan.n_zones)),
             vav_flows=np.empty((b, rows, plan.n_vavs)),
@@ -498,29 +511,30 @@ class FleetChunk:
         )
 
     def building(self, b: int) -> SimulationChunk:
-        """Extract building ``b``'s slice as a solo-compatible chunk."""
+        """Building ``b``'s slice as a solo-compatible chunk.
+
+        Its arrays are contiguous views of this batch, as a solo chunk's
+        exogenous slices are views of its plan.  Only the VAV arrays are
+        copied: slicing off the padding leaves them non-contiguous.
+        """
+        n_vavs = self.vav_counts[b]
         return SimulationChunk(
             index=self.index,
             start=self.start,
             stop=self.stop,
-            zone_temps=self.zone_temps[b].copy(),
-            mass_temps=self.mass_temps[b].copy(),
-            vav_flows=self.vav_flows[b].copy(),
-            vav_temps=self.vav_temps[b].copy(),
-            co2=self.co2[b].copy(),
-            humidity_ratio=self.humidity_ratio[b].copy(),
-            thermostat_readings=self.thermostat_readings[b].copy(),
-            thermostat_true=self.thermostat_true[b].copy(),
-            occupancy=self.occupancy[b].copy(),
-            zone_occupancy=self.zone_occupancy[b].copy(),
-            lighting=self.lighting[b].copy(),
-            ambient=self.ambient[b].copy(),
+            zone_temps=self.zone_temps[b],
+            mass_temps=self.mass_temps[b],
+            vav_flows=self.vav_flows[b, :, :n_vavs].copy(),
+            vav_temps=self.vav_temps[b, :, :n_vavs].copy(),
+            co2=self.co2[b],
+            humidity_ratio=self.humidity_ratio[b],
+            thermostat_readings=self.thermostat_readings[b],
+            thermostat_true=self.thermostat_true[b],
+            occupancy=self.occupancy[b],
+            zone_occupancy=self.zone_occupancy[b],
+            lighting=self.lighting[b],
+            ambient=self.ambient[b],
         )
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels
-# ---------------------------------------------------------------------------
 
 
 def _sat_ratio(temp_c: np.ndarray) -> np.ndarray:
@@ -529,260 +543,22 @@ def _sat_ratio(temp_c: np.ndarray) -> np.ndarray:
     return EPSILON * psat / (ATMOSPHERIC_PRESSURE - psat)
 
 
-class FleetThermostatTap:
-    """Batched :class:`~repro.simulation.kernels.ThermostatTap`."""
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        tstat = np.matmul(plan.tstat_matrix, state.zone_temps[:, :, None])[:, :, 0]
-        front_flow = state.vav_flows[:, plan.front_idx].sum(axis=1)
-        front_discharge = state.vav_discharge[:, plan.front_idx].mean(axis=1)
-        plume = plan.thermostat_draft * np.minimum(front_flow / plan.front_full_flow, 1.0)
-        tstat = (1.0 - plume)[:, None] * tstat + (plume * front_discharge)[:, None]
-        chunk.thermostat_true[:, row] = tstat
-        tstat = tstat + plan.tstat_noise[:, k]
-        chunk.thermostat_readings[:, row] = tstat
-        state.tstat_reading = tstat
-
-
-class FleetPlantStep:
-    """Batched :class:`~repro.simulation.kernels.PlantStep`.
-
-    The schedule branch is per building here, so both branches are
-    evaluated for every lane and the outcome is ``np.where``-selected.
-    Pure lane selection keeps the kept lane's floats untouched; the
-    discarded lane's arithmetic can't leak (no in-place masked update).
-    """
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def _occupied_branch(self, state: FleetState) -> Tuple[np.ndarray, np.ndarray]:
-        """PI control for every lane: (integrators, flow setpoint)."""
-        plan = self.plan
-        integrators = state.pi_integrators
-        controlling = np.matmul(plan.blend, state.tstat_reading[:, :, None])[:, :, 0]
-        errors = controlling - plan.setpoint
-        demand_now = plan.kp * errors + plan.ki * integrators
-        saturated_same_sign = ((demand_now >= 1.0) & (errors > 0.0)) | (
-            (demand_now <= 0.0) & (errors < 0.0)
-        )
-        decayed = integrators * plan.integrator_decay
-        occ_int = np.where(saturated_same_sign, decayed, decayed + errors * plan.dt / 3600.0)
-        occ_int = np.clip(occ_int, -plan.integrator_limit, plan.integrator_limit)
-        demand = plan.kp * errors + plan.ki * occ_int
-        cooling = np.clip(demand, 0.0, 1.0)
-        flow_cmd = plan.vav_min_flow + cooling * plan.vav_flow_span
-        return occ_int, np.clip(flow_cmd, plan.vav_min_flow, plan.vav_max_flow)
-
-    def _unoccupied_temp(self, state: FleetState) -> np.ndarray:
-        """Standby discharge setpoint: the clipped zone-mean return temp."""
-        plan = self.plan
-        return_temp_c = state.zone_temps.mean(axis=1)
-        return np.clip(return_temp_c, plan.cold_deck_temp, plan.reheat_max_temp)
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        flows = state.vav_flows
-        discharge = state.vav_discharge
-
-        # Schedules differ per building, but most steps are uniform
-        # (deep night / mid-day), so the mixed-lane selection is the
-        # slow path.  The fast paths produce exactly what np.where
-        # would have selected for an all-True / all-False mask.
-        occ = plan.occupied[:, k]
-        temp_setpoint: np.ndarray
-        if occ.all():
-            occ_int, flow_setpoint = self._occupied_branch(state)
-            state.pi_integrators = occ_int
-            temp_setpoint = plan.cold_deck_temp
-        elif not occ.any():
-            state.pi_integrators = np.zeros_like(state.pi_integrators)
-            flow_setpoint = plan.standby_flow_cmd
-            temp_setpoint = self._unoccupied_temp(state)
-        else:
-            occ_int, occ_flow_setpoint = self._occupied_branch(state)
-            unocc_temp_setpoint = self._unoccupied_temp(state)
-            state.pi_integrators = np.where(occ[:, None], occ_int, 0.0)
-            flow_setpoint = np.where(occ[:, None], occ_flow_setpoint, plan.standby_flow_cmd)
-            temp_setpoint = np.where(occ, plan.cold_deck_temp, unocc_temp_setpoint)
-
-        flows += plan.alpha_flow * (flow_setpoint - flows)
-        discharge += plan.alpha_temp * (temp_setpoint[:, None] - discharge)
-        chunk.vav_flows[:, row] = flows
-        chunk.vav_temps[:, row] = discharge
-
-
-class FleetDiffuserMix:
-    """Batched :class:`~repro.simulation.kernels.DiffuserMix`."""
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        flows = state.vav_flows
-        discharge = state.vav_discharge
-        diffuser_flows = state.diffuser_flows
-        diffuser_temps = state.diffuser_temps
-        for d, idx in enumerate(plan.diffuser_idx):
-            fed = flows[:, idx]
-            f = fed.sum(axis=1)
-            diffuser_flows[:, d] = f
-            if idx.size:
-                gathered = discharge[:, idx]
-                dots = np.matmul(fed[:, None, :], gathered[:, :, None])[:, 0, 0]
-                diffuser_temps[:, d] = np.where(f > 1e-12, dots / f, gathered.mean(axis=1))
-            else:
-                diffuser_temps[:, d] = 0.0
-        # Supply projection: the batched _supply_core of each network.
-        zone_volume_flow = np.matmul(plan.fractions_t, diffuser_flows[:, :, None])[:, :, 0]
-        weighted_temp = np.matmul(
-            plan.fractions_t, (diffuser_flows * diffuser_temps)[:, :, None]
-        )[:, :, 0]
-        zone_temp = np.where(
-            zone_volume_flow > 1e-12,
-            weighted_temp / np.maximum(zone_volume_flow, 1e-12),
-            diffuser_temps.mean(axis=1)[:, None],
-        )
-        state.zone_flow_kgs = AIR_DENSITY * zone_volume_flow
-        state.zone_supply_temp_c = zone_temp
-        state.zone_heat_w = plan.zone_heat_w[:, k]
-
-
-class FleetThermalIntegrate:
-    """Batched :class:`~repro.simulation.kernels.ThermalIntegrate`."""
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        ambient = plan.ambient[:, k]
-        state.ambient_c = ambient
-        chunk.zone_temps[:, row] = state.zone_temps
-        chunk.mass_temps[:, row] = state.mass_temps
-        z = state.zone_temps
-        m = state.mass_temps
-        h = plan.substep_h
-        amb = ambient[:, None]
-        flow_kgs = state.zone_flow_kgs
-        supply_t_c = state.zone_supply_temp_c
-        heat_w = state.zone_heat_w
-        for _ in range(plan.substeps):
-            supply = flow_kgs * AIR_CP * (supply_t_c - z)
-            q_air = (
-                np.matmul(plan.mixing, z[:, :, None])[:, :, 0]
-                + plan.mass_coupling * (m - z)
-                + plan.infiltration * (amb - z)
-                + supply
-                + heat_w
-            )
-            q_mass = (
-                plan.mass_coupling * (z - m)
-                + plan.exterior * (amb - m)
-                + plan.ground_conductance * (plan.ground_temp - m)
-            )
-            dz = q_air / plan.zone_capacitance
-            dm = q_mass / plan.mass_capacitance
-            z += h * dz
-            m += h * dm
-        finite = np.isfinite(z).all(axis=1) & np.isfinite(m).all(axis=1)
-        if not finite.all():
-            bad = np.flatnonzero(~finite).tolist()
-            raise SimulationError(
-                f"thermal state diverged at step {k} (chunk {chunk.index}) "
-                f"for fleet building(s) {bad}; the configuration is outside "
-                "the stable regime"
-            )
-
-
-class FleetCO2Balance:
-    """Batched :class:`~repro.simulation.kernels.CO2Balance`."""
-
-    def __init__(
-        self, plan: FleetPlan, co2_per_person: float, outdoor_ppm: float, fresh_fraction: float
-    ) -> None:
-        self.plan = plan
-        self.co2_per_person = co2_per_person
-        self.outdoor_ppm = outdoor_ppm
-        self.fresh_fraction = fresh_fraction
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        fresh_flow = self.fresh_fraction * state.diffuser_flows.sum(axis=1)
-        generation_ppm = (
-            plan.occupancy_total[:, k] * self.co2_per_person / plan.room_volume * 1e6
-        )
-        exchange = fresh_flow / plan.room_volume
-        co2 = state.co2_ppm
-        co2 = co2 + plan.dt * (generation_ppm - exchange * (co2 - self.outdoor_ppm))
-        state.co2_ppm = co2
-        chunk.co2[:, row] = co2
-
-
-class FleetMoistureStep:
-    """Batched :class:`~repro.simulation.kernels.MoistureStep`."""
-
-    def __init__(self, plan: FleetPlan, fresh_fraction: float) -> None:
-        self.plan = plan
-        self.fresh_fraction = fresh_fraction
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        diffuser_flows = state.diffuser_flows
-        diffuser_temps = state.diffuser_temps
-        total_flow = diffuser_flows.sum(axis=1)
-        if diffuser_temps.shape[1]:
-            dots = np.matmul(diffuser_flows[:, None, :], diffuser_temps[:, :, None])[:, 0, 0]
-            mean_discharge = np.where(
-                total_flow > 1e-12, dots / total_flow, diffuser_temps.mean(axis=1)
-            )
-        else:
-            mean_discharge = np.zeros_like(total_flow)
-        # MoistureBalance.step, vectorized over the fleet.
-        w_out = plan.outdoor_rh / 100.0 * _sat_ratio(state.ambient_c)
-        ratio = state.moisture_ratio
-        w_mix = (1.0 - self.fresh_fraction) * ratio + self.fresh_fraction * w_out
-        w_coil_cap = plan.coil_saturation_fraction * _sat_ratio(mean_discharge)
-        w_supply = np.minimum(w_mix, w_coil_cap)
-        exchange = total_flow * plan.air_density / plan.air_mass
-        generation = plan.occupancy_total[:, k] * plan.occupant_moisture / plan.air_mass
-        ratio = ratio + plan.dt * (exchange * (w_supply - ratio) + generation)
-        ratio = np.maximum(ratio, 0.0)
-        state.moisture_ratio = ratio
-        chunk.humidity_ratio[:, row] = ratio
-
-
-def build_fleet_kernels(
-    plan: FleetPlan, co2_per_person: float, outdoor_ppm: float, fresh_fraction: float
-) -> Sequence[object]:
-    """The ordered batched kernel pipeline for one cohort."""
-    return (
-        FleetThermostatTap(plan),
-        FleetPlantStep(plan),
-        FleetDiffuserMix(plan),
-        FleetThermalIntegrate(plan),
-        FleetCO2Balance(plan, co2_per_person, outdoor_ppm, fresh_fraction),
-        FleetMoistureStep(plan, fresh_fraction),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Cohorts and the fleet simulator
 # ---------------------------------------------------------------------------
 
 
-def _cohort_key(plan: KernelPlan) -> tuple:
-    """Shape signature deciding which buildings can share one batch."""
+def cohort_key(simulator: AuditoriumSimulator) -> Tuple[int, int, int]:
+    """``(n_zones, substeps, n_diffusers)``: buildings sharing it batch together.
+
+    Read off the simulator's grid, network and geometry, so grouping
+    needs no :class:`KernelPlan`.  The VAV count and diffuser wiring are
+    free: the batch pads them (see :class:`FleetPlan`).
+    """
     return (
-        plan.n_zones,
-        plan.n_vavs,
-        plan.substeps,
-        tuple(tuple(int(v) for v in idx) for idx in plan.diffuser_idx),
+        simulator.grid.n_zones,
+        substep_count(simulator.config.dt, simulator.network.max_stable_dt()),
+        len(simulator.auditorium.diffusers),
     )
 
 
@@ -792,6 +568,7 @@ def _stack_plans(plans: Sequence[KernelPlan]) -> FleetPlan:
         if plan.supervisory_controller is not None:
             raise ConfigurationError("fleet batching does not support supervisory controllers")
     p0 = plans[0]
+    b = len(plans)
 
     def stack(attr: str) -> np.ndarray:
         return np.stack([getattr(p, attr) for p in plans])
@@ -802,28 +579,52 @@ def _stack_plans(plans: Sequence[KernelPlan]) -> FleetPlan:
     def row(values: Iterable[float]) -> np.ndarray:
         return np.array(list(values), dtype=float)
 
+    # Pad the VAV axis: feeder slots past a building's own feeders
+    # gather the zero lane, and blend rows past its own VAVs are zero.
+    width = max(p.n_vavs for p in plans)
+    feeders = [[p.front_idx, *p.diffuser_idx] for p in plans]
+    slots = max(idx.size for rows in feeders for idx in rows)
+    idx = np.full((b, 1 + len(p0.diffuser_idx), slots), width, dtype=np.intp)
+    blend = np.zeros((b, width, 2))
+    for i, (p, rows) in enumerate(zip(plans, feeders)):
+        for d, feeder in enumerate(rows):
+            idx[i, d, : feeder.size] = feeder
+        blend[i, : p.n_vavs] = p.blend
+    counts = (idx != width).sum(axis=2).astype(float)
+    idx += (np.arange(b) * (width + 1))[:, None, None]
+
+    occupied = stack("occupied")
+    ambient = stack("ambient")
+    occupancy_total = stack("occupancy_total")
     moisture_cfg = MoistureConfig()
     air_density = 1.2  # MoistureBalance's default, as the solo path uses
     room_volume = row(p.room_volume for p in plans)
+    air_mass = air_density * room_volume
+    outdoor_ratio = moisture_cfg.outdoor_rh / 100.0 * _sat_ratio(ambient)
     return FleetPlan(
-        n_buildings=len(plans),
+        n_buildings=b,
         n_steps=p0.n_steps,
         dt=p0.dt,
         n_zones=p0.n_zones,
-        n_vavs=p0.n_vavs,
-        occupied=stack("occupied"),
-        ambient=stack("ambient"),
-        occupancy_total=stack("occupancy_total"),
+        n_vavs=width,
+        vav_counts=tuple(p.n_vavs for p in plans),
+        occupied=occupied,
+        occupied_all=occupied.all(axis=0).tolist(),
+        occupied_any=occupied.any(axis=0).tolist(),
+        ambient=ambient,
+        occupancy_total=occupancy_total,
         zone_occupancy=stack("zone_occupancy"),
         lighting=stack("lighting"),
         zone_heat_w=stack("zone_heat_w"),
         tstat_matrix=stack("tstat_matrix"),
         tstat_noise=stack("tstat_noise"),
-        diffuser_idx=p0.diffuser_idx,
-        front_idx=p0.front_idx,
+        front_idx=idx[:, 0],
+        front_count=counts[:, 0],
+        diffuser_idx=idx[:, 1:],
+        diffuser_count=np.maximum(counts[:, 1:], 1.0),
         front_full_flow=row(p.front_full_flow for p in plans),
         thermostat_draft=row(p.thermostat_draft for p in plans),
-        blend=stack("blend"),
+        blend=blend,
         setpoint=column(p.setpoint for p in plans),
         kp=column(p.kp for p in plans),
         ki=column(p.ki for p in plans),
@@ -833,7 +634,7 @@ def _stack_plans(plans: Sequence[KernelPlan]) -> FleetPlan:
         vav_min_flow=column(p.vav_min_flow for p in plans),
         vav_max_flow=column(p.vav_max_flow for p in plans),
         vav_flow_span=column(p.vav_flow_span for p in plans),
-        cold_deck_temp=row(p.cold_deck_temp for p in plans),
+        cold_deck_temp=column(p.cold_deck_temp for p in plans),
         reheat_max_temp=row(p.reheat_max_temp for p in plans),
         alpha_flow=column(p.alpha_flow for p in plans),
         alpha_temp=column(p.alpha_temp for p in plans),
@@ -850,55 +651,51 @@ def _stack_plans(plans: Sequence[KernelPlan]) -> FleetPlan:
         substep_h=p0.substep_h,
         room_volume=room_volume,
         air_density=air_density,
-        air_mass=air_density * room_volume,
-        occupant_moisture=moisture_cfg.occupant_moisture,
-        outdoor_rh=moisture_cfg.outdoor_rh,
+        air_mass=air_mass,
+        co2_generation_ppm=occupancy_total * CO2_PER_PERSON / room_volume[:, None] * 1e6,
+        moisture_generation=occupancy_total * moisture_cfg.occupant_moisture / air_mass[:, None],
+        fresh_outdoor_ratio=FRESH_AIR_FRACTION * outdoor_ratio,
         coil_saturation_fraction=moisture_cfg.coil_saturation_fraction,
     )
 
 
 class _Cohort:
-    """One batch of same-shape buildings integrated together."""
+    """One batch of buildings sharing a :func:`cohort_key`, integrated together."""
 
-    def __init__(
-        self,
-        slots: Sequence[int],
-        simulators: Sequence[AuditoriumSimulator],
-        plans: Sequence[KernelPlan],
-    ) -> None:
+    def __init__(self, slots: Sequence[int], simulators: Sequence[AuditoriumSimulator]) -> None:
         self.slots = list(slots)
         self.simulators = list(simulators)
-        self.plan = _stack_plans(plans)
+        self.plan = _stack_plans([sim._build_plan() for sim in self.simulators])
 
     @property
     def n_buildings(self) -> int:
         return len(self.slots)
 
     def _initial_state(self) -> FleetState:
-        zone, mass, flows, discharge, ratios = [], [], [], [], []
-        for sim in self.simulators:
+        plan = self.plan
+        b = plan.n_buildings
+        flows = np.zeros((b, plan.n_vavs + 1))
+        discharge = np.zeros((b, plan.n_vavs + 1))
+        zone, mass, ratios = [], [], []
+        for i, sim in enumerate(self.simulators):
             cfg = sim.config
             sim.plant.reset()
             z, m = sim.network.initial_state(cfg.initial_temp)
             zone.append(z)
             mass.append(m)
-            flows.append(sim.plant.flows())
-            discharge.append(sim.plant.discharge_temps())
+            flows[i, : plan.vav_counts[i]] = sim.plant.flows()
+            discharge[i, : plan.vav_counts[i]] = sim.plant.discharge_temps()
             ratios.append(
                 humidity_ratio_from_rh(MoistureConfig().initial_rh, cfg.initial_temp)
             )
-        b = len(self.simulators)
-        n_diffusers = len(self.plan.diffuser_idx)
         return FleetState(
             zone_temps=np.stack(zone),
             mass_temps=np.stack(mass),
-            vav_flows=np.stack(flows),
-            vav_discharge=np.stack(discharge),
-            pi_integrators=np.zeros((b, self.plan.n_vavs)),
+            flow_lanes=flows,
+            discharge_lanes=discharge,
+            pi_integrators=np.zeros((b, plan.n_vavs)),
             co2_ppm=np.full(b, OUTDOOR_CO2_PPM),
             moisture_ratio=np.array(ratios, dtype=float),
-            diffuser_flows=np.zeros((b, n_diffusers)),
-            diffuser_temps=np.zeros((b, n_diffusers)),
         )
 
     def _writeback_plants(self, state: FleetState) -> None:
@@ -906,16 +703,149 @@ class _Cohort:
             for i, vav in enumerate(sim.plant.vavs):
                 vav._flow = float(state.vav_flows[b, i])
                 vav._discharge_temp = float(state.vav_discharge[b, i])
-            sim.plant._integrators[:] = state.pi_integrators[b]
+            sim.plant._integrators[:] = state.pi_integrators[b, : len(sim.plant.vavs)]
+
+    def _pi_control(self, state: FleetState, tstat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Occupied PI control for every lane: (integrators, flow setpoint)."""
+        p = self.plan
+        integrators = state.pi_integrators
+        controlling = np.matmul(p.blend, tstat[:, :, None])[:, :, 0]
+        errors = controlling - p.setpoint
+        demand_now = p.kp * errors + p.ki * integrators
+        saturated_same_sign = ((demand_now >= 1.0) & (errors > 0.0)) | (
+            (demand_now <= 0.0) & (errors < 0.0)
+        )
+        decayed = integrators * p.integrator_decay
+        occ_int = np.where(saturated_same_sign, decayed, decayed + errors * p.dt / 3600.0)
+        occ_int = np.clip(occ_int, -p.integrator_limit, p.integrator_limit)
+        demand = p.kp * errors + p.ki * occ_int
+        cooling = np.clip(demand, 0.0, 1.0)
+        flow_cmd = p.vav_min_flow + cooling * p.vav_flow_span
+        return occ_int, np.clip(flow_cmd, p.vav_min_flow, p.vav_max_flow)
+
+    def _standby_temp(self, zone_temps: np.ndarray) -> np.ndarray:
+        """Unoccupied discharge setpoint: the clipped zone-mean return temp."""
+        p = self.plan
+        return np.clip(zone_temps.mean(axis=1), p.cold_deck_temp[:, 0], p.reheat_max_temp)
+
+    def _step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
+        """One outer step of the whole cohort: the six solo kernels, fused.
+
+        Thermostat tap, plant, diffuser mix, thermal integration, CO2
+        and moisture run in the solo kernels' order with their float
+        operations.  Lanes that branch differently (schedule, zero flow)
+        are ``np.where``-selected, and a fallback is computed only on
+        steps where some lane selects it.
+        """
+        p = self.plan
+        z, m = state.zone_temps, state.mass_temps
+
+        # Thermostat tap: plume-biased field sample, then control noise.
+        tstat = np.matmul(p.tstat_matrix, z[:, :, None])[:, :, 0]
+        front_flow = state.flow_lanes.take(p.front_idx).sum(axis=1)
+        front_discharge = state.discharge_lanes.take(p.front_idx).sum(axis=1) / p.front_count
+        plume = p.thermostat_draft * np.minimum(front_flow / p.front_full_flow, 1.0)
+        tstat = (1.0 - plume)[:, None] * tstat + (plume * front_discharge)[:, None]
+        chunk.thermostat_true[:, row] = tstat
+        tstat = tstat + p.tstat_noise[:, k]
+        chunk.thermostat_readings[:, row] = tstat
+
+        # Plant: schedule, PI loops, VAV box lags.
+        if p.occupied_all[k]:
+            state.pi_integrators, flow_setpoint = self._pi_control(state, tstat)
+            temp_setpoint = p.cold_deck_temp
+        elif not p.occupied_any[k]:
+            state.pi_integrators = np.zeros_like(state.pi_integrators)
+            flow_setpoint = p.standby_flow_cmd
+            temp_setpoint = self._standby_temp(z)[:, None]
+        else:
+            occ = p.occupied[:, k, None]
+            occ_int, occ_flow_setpoint = self._pi_control(state, tstat)
+            state.pi_integrators = np.where(occ, occ_int, 0.0)
+            flow_setpoint = np.where(occ, occ_flow_setpoint, p.standby_flow_cmd)
+            temp_setpoint = np.where(occ, p.cold_deck_temp, self._standby_temp(z)[:, None])
+        flows, discharge = state.vav_flows, state.vav_discharge
+        flows += p.alpha_flow * (flow_setpoint - flows)
+        discharge += p.alpha_temp * (temp_setpoint - discharge)
+        chunk.vav_flows[:, row] = flows
+        chunk.vav_temps[:, row] = discharge
+
+        # Diffuser mix: every diffuser's feeders in one gather.
+        fed = state.flow_lanes.take(p.diffuser_idx)
+        gathered = state.discharge_lanes.take(p.diffuser_idx)
+        diffuser_flows = fed.sum(axis=2)
+        dots = np.matmul(fed[:, :, None, :], gathered[:, :, :, None])[:, :, 0, 0]
+        diffuser_temps = dots / diffuser_flows
+        fed_ok = diffuser_flows > 1e-12
+        if not fed_ok.all():
+            feeder_mean = gathered.sum(axis=2) / p.diffuser_count
+            diffuser_temps = np.where(fed_ok, diffuser_temps, feeder_mean)
+        zone_volume_flow = np.matmul(p.fractions_t, diffuser_flows[:, :, None])[:, :, 0]
+        weighted_temp = np.matmul(
+            p.fractions_t, (diffuser_flows * diffuser_temps)[:, :, None]
+        )[:, :, 0]
+        supply_t = weighted_temp / np.maximum(zone_volume_flow, 1e-12)
+        supplied = zone_volume_flow > 1e-12
+        if not supplied.all():
+            supply_t = np.where(supplied, supply_t, diffuser_temps.mean(axis=1)[:, None])
+
+        # Thermal integration: sub-stepped explicit Euler.
+        chunk.zone_temps[:, row] = z
+        chunk.mass_temps[:, row] = m
+        flow_cp = AIR_DENSITY * zone_volume_flow * AIR_CP
+        heat_w = p.zone_heat_w[:, k]
+        amb = p.ambient[:, k, None]
+        h = p.substep_h
+        for _ in range(p.substeps):
+            q_air = (
+                np.matmul(p.mixing, z[:, :, None])[:, :, 0]
+                + p.mass_coupling * (m - z)
+                + p.infiltration * (amb - z)
+                + flow_cp * (supply_t - z)
+                + heat_w
+            )
+            q_mass = (
+                p.mass_coupling * (z - m)
+                + p.exterior * (amb - m)
+                + p.ground_conductance * (p.ground_temp - m)
+            )
+            z += h * (q_air / p.zone_capacitance)
+            m += h * (q_mass / p.mass_capacitance)
+        if not (np.isfinite(z).all() and np.isfinite(m).all()):
+            finite = np.isfinite(z).all(axis=1) & np.isfinite(m).all(axis=1)
+            bad = np.flatnonzero(~finite).tolist()
+            raise SimulationError(
+                f"thermal state diverged at step {k} (chunk {chunk.index}) "
+                f"for fleet building(s) {bad}; the configuration is outside "
+                "the stable regime"
+            )
+
+        # CO2 and moisture balances on the supply air.
+        total_flow = diffuser_flows.sum(axis=1)
+        fresh_exchange = FRESH_AIR_FRACTION * total_flow / p.room_volume
+        co2 = state.co2_ppm
+        co2 = co2 + p.dt * (p.co2_generation_ppm[:, k] - fresh_exchange * (co2 - OUTDOOR_CO2_PPM))
+        state.co2_ppm = co2
+        chunk.co2[:, row] = co2
+        dots = np.matmul(diffuser_flows[:, None, :], diffuser_temps[:, :, None])[:, 0, 0]
+        mean_discharge = dots / total_flow
+        flowing = total_flow > 1e-12
+        if not flowing.all():
+            mean_discharge = np.where(flowing, mean_discharge, diffuser_temps.mean(axis=1))
+        ratio = state.moisture_ratio
+        w_mix = (1.0 - FRESH_AIR_FRACTION) * ratio + p.fresh_outdoor_ratio[:, k]
+        w_supply = np.minimum(w_mix, p.coil_saturation_fraction * _sat_ratio(mean_discharge))
+        exchange = total_flow * p.air_density / p.air_mass
+        ratio = ratio + p.dt * (exchange * (w_supply - ratio) + p.moisture_generation[:, k])
+        ratio = np.maximum(ratio, 0.0)
+        state.moisture_ratio = ratio
+        chunk.humidity_ratio[:, row] = ratio
 
     def iter_chunks(self, chunk_steps: Optional[int] = None) -> Iterator[FleetChunk]:
         """Stream the cohort's batched trajectory as :class:`FleetChunk` slabs."""
         plan = self.plan
         state = self._initial_state()
-        kernels = build_fleet_kernels(
-            plan, CO2_PER_PERSON, OUTDOOR_CO2_PPM, FRESH_AIR_FRACTION
-        )
-        steps = [kernel.step for kernel in kernels]
+        step = self._step
         n = plan.n_steps
         size = n if chunk_steps is None else int(chunk_steps)
         if size < 1:
@@ -923,17 +853,14 @@ class _Cohort:
         for index, start in enumerate(range(0, n, size)):
             stop = min(start + size, n)
             chunk = FleetChunk.allocate(index, start, stop, plan)
-            # Zero-flow lanes divide 0/0 inside np.where-selected branches
-            # (the selected value is always finite); hoisting one errstate
-            # over the step loop avoids paying the seterr round-trip per
-            # kernel call.  Divergence is still caught by the explicit
-            # isfinite gate in FleetThermalIntegrate and the per-chunk
-            # contracts below.
+            # Zero-flow lanes divide 0/0 before np.where discards the
+            # result (the selected value is always finite); one errstate
+            # over the step loop avoids the seterr round-trip per step.
+            # Divergence is still caught by the explicit isfinite gate in
+            # _step and the per-chunk contracts below.
             with np.errstate(invalid="ignore", divide="ignore"):
                 for k in range(start, stop):
-                    r = k - start
-                    for kernel_step in steps:
-                        kernel_step(state, k, r, chunk)
+                    step(state, k, k - start, chunk)
             where = f"fleet chunk {index}, steps {start}:{stop}"
             ensure_finite(chunk.zone_temps, f"simulated zone temperatures ({where})")
             ensure_finite(chunk.mass_temps, f"simulated mass temperatures ({where})")
@@ -966,7 +893,7 @@ class FleetResult:
 class FleetSimulator:
     """Batched closed-loop simulation of a fleet of buildings.
 
-    Buildings are grouped into cohorts of identical array shape; each
+    Buildings are grouped into cohorts by :func:`cohort_key`; each
     cohort integrates in one vectorized pass.  The fleet must share
     ``start``/``days``/``dt`` (one time axis), everything else can vary
     per building.
@@ -985,13 +912,11 @@ class FleetSimulator:
                 )
         self.specs = specs
         self.simulators = [spec.simulator() for spec in specs]
-        plans = [sim._build_plan() for sim in self.simulators]
         grouped: Dict[tuple, List[int]] = {}
-        for slot, plan in enumerate(plans):
-            grouped.setdefault(_cohort_key(plan), []).append(slot)
+        for slot, sim in enumerate(self.simulators):
+            grouped.setdefault(cohort_key(sim), []).append(slot)
         self.cohorts = [
-            _Cohort(slots, [self.simulators[s] for s in slots], [plans[s] for s in slots])
-            for slots in grouped.values()
+            _Cohort(slots, [self.simulators[s] for s in slots]) for slots in grouped.values()
         ]
 
     @property

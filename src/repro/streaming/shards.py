@@ -198,11 +198,12 @@ def _shard_ticks(
     # same chunk size; the fleet pass must use it explicitly (its
     # own default is the whole trace in one chunk).
     chunk_steps = runs[specs[0].topic].source.chunk_steps
-    # Round-robin one chunk per cohort per round.  The flattened
-    # fleet iterator is cohort-major, which would stream one whole
-    # building before the next whenever geometries differ; zip is
-    # safe because the shared days/dt give every cohort the same
-    # chunk count.  Each building still sees its own chunks in
+    # Round-robin one chunk per cohort per round.  A generated fleet
+    # is one cohort, but buildings whose sub-step count, zone grid or
+    # diffuser count differ are not, and the flattened fleet iterator
+    # is cohort-major: it would stream one whole building before the
+    # next.  zip is safe because the shared days/dt give every cohort
+    # the same chunk count.  Each building still sees its own chunks in
     # order, so per-building records are untouched.
     iters = [cohort.iter_chunks(chunk_steps) for cohort in fleet.cohorts]
     for chunk_round in zip(*iters):

@@ -5,19 +5,25 @@ running building *i* through the batched ``(B, ...)`` pass must be
 ``np.array_equal`` — no tolerance — to running its spec alone through
 the solo simulator.  These tests pin that for a generated 8-building
 fleet, across RC stiffness regimes (different sub-step counts), across
-chunk sizes, and for the seed-fleet sweep helper; plus the structural
-validation and the no-feeding-VAV zero-flow guard that used to poison
-state with a NaN mean.
+chunk sizes, for the seed-fleet sweep helper and for the plants' final
+state; plus the structural validation, the one-cohort batching of mixed
+VAV counts, and the zero-flow guards (a no-feeding-VAV diffuser that
+used to poison state with a NaN mean, and zero flow on a padded lane).
 """
 
 import dataclasses
+import functools
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.geometry.auditorium import Auditorium, Diffuser, _default_seats
+from repro.rng import DEFAULT_SEED
 from repro.simulation import AuditoriumSimulator, SimulationConfig
 from repro.simulation.fleet import (
     BuildingSpec,
@@ -84,6 +90,34 @@ class TestFleetParity:
         for spec, batched in zip(fleet.specs, fleet.results):
             assert_results_identical(batched, spec.simulator().run(), label=f"{spec.name}: ")
 
+    def test_mixed_vav_fleet_is_one_cohort(self):
+        # VAV count and diffuser wiring are padded, not keyed: a fleet
+        # drawing 2, 4 and 6 VAVs integrates as a single batch.
+        specs = build_fleet(FleetConfig(n_buildings=8, days=0.5))
+        assert {spec.n_vavs for spec in specs} == {2, 4, 6}
+        fleet_sim = FleetSimulator(specs)
+        assert len(fleet_sim.cohorts) == 1
+        assert fleet_sim.cohorts[0].plan.n_vavs == 6
+        assert fleet_sim.cohorts[0].plan.vav_counts == tuple(s.n_vavs for s in specs)
+
+    def test_plants_end_in_the_solo_final_state(self):
+        # The trace ends at 14:24 on its second day, in occupied hours,
+        # so most plants end with live PI integrators.
+        specs = build_fleet(FleetConfig(n_buildings=6, days=1.6))
+        fleet_sim = FleetSimulator(specs)
+        fleet_sim.run(chunk_steps=173)
+        live = 0
+        for spec, batched in zip(specs, fleet_sim.simulators):
+            solo = spec.simulator()
+            solo.run()
+            live += int(np.any(solo.plant._integrators != 0.0))
+            assert np.array_equal(batched.plant.flows(), solo.plant.flows()), spec.name
+            assert np.array_equal(
+                batched.plant.discharge_temps(), solo.plant.discharge_temps()
+            ), spec.name
+            assert np.array_equal(batched.plant._integrators, solo.plant._integrators), spec.name
+        assert live >= 4
+
     def test_chunked_fleet_matches_single_shot(self):
         specs = build_fleet(FleetConfig(n_buildings=3, days=1.0))
         whole = FleetSimulator(specs).run()
@@ -102,6 +136,40 @@ class TestFleetParity:
         for seed, result in zip(seeds, fleet.results):
             solo = AuditoriumSimulator(dataclasses.replace(base, seed=seed)).run()
             assert_results_identical(result, solo, label=f"seed {seed}: ")
+
+
+#: 20:00 to 08:00 covers both schedule edges (off at 21/22 h, on at 6/7 h),
+#: so drawn sub-fleets see all-occupied, all-standby and mixed steps.
+_POOL_START = datetime(2013, 1, 31, 20, 0)
+#: Fleet seeds whose first six buildings mix VAV counts.
+_POOL_SEEDS = (DEFAULT_SEED, 2, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _fleet_pool(seed):
+    """Six generated buildings and their solo traces (the parity oracle)."""
+    specs = build_fleet(FleetConfig(n_buildings=6, days=0.5, start=_POOL_START, seed=seed))
+    return specs, tuple(spec.simulator().run() for spec in specs)
+
+
+class TestFleetParityProperties:
+    """Per-building parity holds under any building order and cohort split."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_any_order_and_split_matches_solo(self, data):
+        specs, solos = _fleet_pool(data.draw(st.sampled_from(_POOL_SEEDS), label="seed"))
+        order = data.draw(st.permutations(range(len(specs))), label="order")
+        order = order[: data.draw(st.integers(2, len(order)), label="size")]
+        assume(len({specs[i].n_vavs for i in order}) > 1)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(order) - 1), max_size=2), label="cuts"))
+        chunk_steps = data.draw(st.sampled_from([None, 97, 360]), label="chunk_steps")
+        bounds = [0, *cuts, len(order)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = order[lo:hi]
+            fleet = FleetSimulator([specs[i] for i in part]).run(chunk_steps=chunk_steps)
+            for i, batched in zip(part, fleet.results):
+                assert_results_identical(batched, solos[i], label=f"{specs[i].name}: ")
 
 
 class TestFleetStructure:
@@ -189,6 +257,37 @@ class TestZeroFlow:
         fleet = FleetSimulator((spec,)).run()
         assert_results_identical(loop, kernel, label="loop vs kernel: ")
         assert_results_identical(fleet.results[0], kernel, label="fleet vs kernel: ")
+
+    def test_zero_flow_on_a_padded_lane(self):
+        # A 2-VAV building with no standby flow, batched beside a 6-VAV
+        # one: overnight its diffusers carry exactly zero flow, so every
+        # zero-flow fallback (diffuser mean, zone supply, moisture) runs
+        # on a lane whose feeder rows are padded.  The fallbacks must
+        # stay finite and warning-free, and the zero lane must add
+        # nothing to the lane's flow sums.
+        specs = build_fleet(
+            FleetConfig(n_buildings=3, days=0.5, start=datetime(2013, 1, 31, 23, 0))
+        )
+        small = next(spec for spec in specs if spec.n_vavs == 2)
+        wide = next(spec for spec in specs if spec.n_vavs == 6)
+        hvac = small.simulation.hvac
+        hvac = dataclasses.replace(
+            hvac,
+            standby_flow_fraction=0.0,
+            vav=dataclasses.replace(hvac.vav, min_flow=0.0),
+        )
+        small = dataclasses.replace(
+            small, simulation=dataclasses.replace(small.simulation, hvac=hvac)
+        )
+        fleet_sim = FleetSimulator((small, wide))
+        assert len(fleet_sim.cohorts) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fleet = fleet_sim.run(chunk_steps=173)
+        solo = small.simulator().run()
+        assert np.any(solo.vav_flows.sum(axis=1) == 0.0)
+        assert_results_identical(fleet.results[0], solo, label="2-VAV beside 6-VAV: ")
+        assert_results_identical(fleet.results[1], wide.simulator().run(), label="6-VAV: ")
 
     def test_raw_auditorium_with_unfed_diffuser(self):
         # Same guard through the plain simulator API (no BuildingSpec).
