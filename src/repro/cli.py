@@ -37,12 +37,13 @@ experiments out over worker processes.
 
 Failing experiments no longer abort a report: survivors render
 normally, a "FAILED experiments" section lists the casualties, and the
-exit code is 1 on partial failure (see ``docs/robustness.md``;
-``REPRO_RUNNER_TIMEOUT_S`` and ``REPRO_RUNNER_RETRIES`` tune the
-runner's timeout/retry policy; retries back off on the doubling
-schedule of :mod:`repro.core.supervise`, which also supervises the
-``ingest``/``serve`` children: they ignore SIGINT/SIGTERM, so a
-terminal ^C drains them instead of killing them).
+exit code is 1 on partial failure (see ``docs/robustness.md``).  Every
+child process -- each forked experiment task, ingest shard and serve
+worker -- is a slot of :mod:`repro.core.supervise`: a crash or a hang
+respawns it on the core's doubling backoff, and it ignores SIGINT,
+so a terminal ^C never kills one.
+``REPRO_RUNNER_TIMEOUT_S`` is a task's deadline and
+``REPRO_RUNNER_RETRIES`` its respawn budget.
 """
 
 from __future__ import annotations

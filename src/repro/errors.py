@@ -86,14 +86,14 @@ class ExperimentError(ReproError):
 
 
 class ExperimentTimeoutError(ExperimentError):
-    """An experiment exceeded the runner's per-experiment timeout."""
+    """An experiment task ran past the runner's per-task deadline."""
 
 
 class WorkerCrashError(ExperimentError):
     """An experiment worker process died (segfault, OOM-kill, ``os._exit``).
 
-    The runner records this and downgrades the experiment to an
-    isolated serial retry instead of aborting the whole report."""
+    The runner respawns the task while its retry budget lasts, then
+    records this instead of aborting the whole report."""
 
 
 class ContractError(ReproError):

@@ -10,8 +10,8 @@ could not split.  This module turns each experiment into an explicit
 reduce:
 
 * a :class:`Task` is one shard of work — picklable (module-level ``fn``
-  plus plain-data ``params``), so it can run in a pool worker or an
-  isolated subprocess exactly like a monolithic experiment used to;
+  plus plain-data ``params``), so it can run in the parent or in a
+  forked child exactly like a monolithic experiment used to;
 * an :class:`ExperimentPlan` bundles an experiment's shard tasks with
   the ``reduce`` that folds their partial results back into the *exact*
   :class:`~repro.experiments.base.ExperimentResult` the monolithic
@@ -69,9 +69,8 @@ class Task:
     """One schedulable unit of experiment work.
 
     ``fn(days, seed, **dict(params))`` must be a **module-level**
-    function returning a picklable partial result: tasks cross process
-    boundaries both through the worker pool and through the isolated
-    retry subprocess.  ``params`` is a tuple of ``(name, value)`` pairs
+    function returning a picklable partial result: a forked task child
+    sends it back to the parent over a pipe.  ``params`` is a tuple of ``(name, value)`` pairs
     (plain data only) so the task itself stays hashable and picklable.
     """
 

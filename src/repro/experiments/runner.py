@@ -15,12 +15,12 @@ cached.  This runner attacks that cost three times over:
 * **Task-graph parallelism.**  Cache misses expand into their
   :class:`~repro.experiments.graph.ExperimentPlan` shards — the
   dominant experiments (``table1``, ``robustness``, ``ext-fleet``)
-  split into per-cell tasks — and fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (``--jobs N`` on the
-  CLI) in dependency waves.  A cold trace is the graph's context task
-  in the first wave, beside the tasks that declare they do not need it;
-  the parent then loads the trace before the next wave forks, so each
-  worker's :func:`get_context` is a cheap in-memory read.
+  split into per-cell tasks — and run in dependency waves, each task in
+  its own forked child, at most ``--jobs N`` at a time.  A cold trace
+  is the graph's context task in the first wave, beside the tasks that
+  declare they do not need it; the parent then loads the trace before
+  the next wave forks, so each child's :func:`get_context` is a cheap
+  in-memory read.
 * **Cost-aware scheduling.**  Observed per-task wall-clock persists
   through the artifact cache (:mod:`repro.experiments.costs`); each
   wave starts its longest tasks first (LPT), which shrinks the makespan
@@ -43,15 +43,14 @@ poisoned shard degrades one table cell:
 
 * a raising task is recorded (library :class:`ReproError`\\ s are
   deterministic, so they are not retried);
-* an unexpected exception gets a **bounded retry with backoff** (the
-  supervision core's doubling schedule, :mod:`repro.core.supervise`,
-  from 0.25 s), re-run in an *isolated* single-shot subprocess;
-* a **worker crash** (``BrokenProcessPool`` — segfault, OOM-kill,
-  ``os._exit``) downgrades the affected tasks to the same isolated
-  serial retry instead of killing the report;
-* an optional **per-task timeout** (``RunnerOptions.timeout_s``, or
-  ``REPRO_RUNNER_TIMEOUT_S``) bounds each isolated run and watchdogs
-  the pool;
+* every task child is a slot of :class:`repro.core.supervise.Pool` on
+  the ``fork`` context.  Any other exception, a crashed child
+  (segfault, OOM-kill, ``os._exit``) and a child past its **per-task
+  timeout** (``RunnerOptions.timeout_s``, or ``REPRO_RUNNER_TIMEOUT_S``:
+  the slot's liveness deadline) are the slot's crash or hang, and the
+  **bounded retry** is its respawn on the core's doubling backoff from
+  0.25 s.  A task makes ``1 + respawns`` attempts; siblings never
+  notice;
 * a task whose *dependency* failed is failed immediately (recorded,
   never run) instead of deadlocking the wave loop.
 
@@ -65,19 +64,28 @@ cache, so a transient shard failure is never replayed from cache.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import multiprocessing
 import os
+import signal
+import sys
 import time
-from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import rng as rng_mod
 from repro.core.artifacts import artifact_key, default_cache, fingerprint, source_digest
-from repro.core.supervise import RestartPolicy
+from repro.core.supervise import (
+    EXIT_GRACE_S,
+    LIVE,
+    RESTARTING,
+    STOPPED,
+    Pool,
+    RestartPolicy,
+    Slot,
+)
 from repro.errors import (
     ExperimentError,
     ExperimentTimeoutError,
@@ -108,8 +116,8 @@ __all__ = [
 ENV_TIMEOUT = "REPRO_RUNNER_TIMEOUT_S"
 #: Environment override for the transient-failure retry budget.
 ENV_RETRIES = "REPRO_RUNNER_RETRIES"
-#: Isolated retry ``n`` waits ``RETRY_BACKOFF.delay(n)``: 0.25 s, 0.5 s, ...
-RETRY_BACKOFF = RestartPolicy(backoff_s=0.25)
+#: Task children fork, so they read the parent's loaded trace and registry.
+FORK = multiprocessing.get_context("fork")
 
 #: Valid ``schedule`` arguments: cost-aware LPT or registry order.
 SCHEDULE_MODES = ("cost", "registry")
@@ -121,7 +129,7 @@ class RunnerOptions:
 
     #: Per-task wall-clock budget, seconds (``None`` = unbounded).
     timeout_s: Optional[float] = None
-    #: Isolated re-runs granted to transiently failing tasks.
+    #: Re-runs granted to a task that crashed, hung or raised a non-library error.
     retries: int = 1
 
     def __post_init__(self) -> None:
@@ -129,6 +137,11 @@ class RunnerOptions:
             raise ExperimentError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.retries < 0:
             raise ExperimentError(f"retries must be non-negative, got {self.retries}")
+
+    def policy(self) -> RestartPolicy:
+        """The per-task deadline, retry budget and 0.25 s backoff of every task child."""
+        deadline = math.inf if self.timeout_s is None else self.timeout_s
+        return RestartPolicy(deadline, self.retries, backoff_s=0.25)
 
     @staticmethod
     def from_env() -> "RunnerOptions":
@@ -261,7 +274,7 @@ def _synth_config(days: float, seed: int):
 def _trace_is_cold(days: float, seed: int) -> bool:
     """Whether the artifact cache is on but does not hold the trace yet.
 
-    Only then is it worth generating the trace in a pool worker: the
+    Only then is it worth generating the trace in a forked child: the
     cache carries the result back to the parent.
     """
     cache = default_cache()
@@ -285,10 +298,10 @@ def _render_key(experiment_id: str, days: float, seed: int) -> str:
 def _execute_task(
     experiment_id: str, task_id: str, days: float, seed: int
 ) -> Tuple[object, float]:
-    """Worker entry: rebuild one task from its ids, run and time it.
+    """Rebuild one task from its ids, run and time it.
 
     Tasks are rebuilt from ``(experiment_id, task_id)`` *inside* the
-    worker rather than pickled across the process boundary: plan
+    child rather than pickled across the process boundary: plan
     construction is cheap and pure, the task's ``fn`` may be a
     registry entry that was monkeypatched with an unpicklable closure,
     and under the ``fork`` start method the child sees exactly the
@@ -306,266 +319,179 @@ def _execute_task(
     return value, time.perf_counter() - start_s
 
 
-def _subprocess_task(
-    queue, experiment_id: str, task_id: str, days: float, seed: int
-) -> None:
-    """Isolated-subprocess entry: run one task and ship the outcome back."""
+def _task_main(experiment_id: str, task_id: str, days: float, seed: int, conn) -> None:
+    """Task child: send ``("ok", value, seconds)`` or ``(kind, error_type,
+    message)``.  A library error (``"error"``) is final; any other exception
+    (``"retry"``) then exits 1, so the pool reads it as a crash."""
+    # The runner drains nothing on SIGTERM: it ends a child with its parent.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         value, seconds = _execute_task(experiment_id, task_id, days, seed)
-        queue.put(("ok", value, seconds))
     except Exception as exc:  # the error must cross the process boundary
-        queue.put(("error", type(exc).__name__, str(exc)))
+        kind = "error" if isinstance(exc, ReproError) else "retry"
+        conn.send((kind, type(exc).__name__, str(exc)))
+        if kind == "retry":
+            sys.exit(1)
+        return
+    conn.send(("ok", value, seconds))
 
 
-def _run_isolated(
-    experiment_id: str, task_id: str, days: float, seed: int, timeout_s: Optional[float]
-) -> Tuple[object, float]:
-    """Run one task in a dedicated subprocess; ``(value, seconds)``.
+def _failure(task: Task, error: Tuple[str, str], attempts: int) -> ExperimentFailure:
+    """An :class:`ExperimentFailure` record for one task's ``(type, message)``."""
+    return ExperimentFailure(task.experiment_id, error[0], error[1], attempts, task.task_id)
 
-    Crash isolation and timeout enforcement in one place: a dying child
-    becomes :class:`WorkerCrashError`, a child that outlives
-    ``timeout_s`` is terminated and becomes
-    :class:`ExperimentTimeoutError`, and an exception inside the child
-    is re-raised here (library errors by their original type, so the
-    caller's deterministic/transient classification still works).
-    """
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        mp_context = multiprocessing.get_context()
-    queue = mp_context.Queue()
-    process = mp_context.Process(
-        target=_subprocess_task,
-        args=(queue, experiment_id, task_id, days, seed),
-        daemon=True,
-    )
-    process.start()
-    process.join(timeout_s)
-    if process.is_alive():
-        process.terminate()
-        process.join(5.0)
-        raise ExperimentTimeoutError(
-            f"task {task_id!r} exceeded the {timeout_s:g} s timeout"
+
+def _death_error(task: Task, slot: Slot, policy: RestartPolicy, now: float) -> Tuple[str, str]:
+    """Why a child died without sending an error: past its deadline, or crashed."""
+    if now - slot.heartbeat.value > policy.liveness_deadline_s:
+        return (
+            ExperimentTimeoutError.__name__,
+            f"task {task.task_id!r} exceeded the {policy.liveness_deadline_s:g} s timeout",
         )
-    try:
-        outcome = queue.get(timeout=5.0)
-    except Exception:
-        raise WorkerCrashError(
-            f"worker for task {task_id!r} died "
-            f"(exit code {process.exitcode}) before reporting a result"
-        ) from None
-    if outcome[0] == "ok":
-        return outcome[1], outcome[2]
-    error_name, message = outcome[1], outcome[2]
-    import repro.errors as errors_mod
-
-    error_cls = getattr(errors_mod, error_name, None)
-    if isinstance(error_cls, type) and issubclass(error_cls, ReproError):
-        raise error_cls(message)
-    raise RuntimeError(f"{error_name}: {message}")
-
-
-def _is_deterministic(exc: BaseException) -> bool:
-    """Whether retrying ``exc`` is pointless.
-
-    Library errors (:class:`ReproError`) are deterministic properties of
-    the configuration — the same inputs will fail the same way — except
-    for the runner's own timeout/crash markers, which may well be
-    transient (load spikes, OOM kills) and deserve their retry budget.
-    """
-    if isinstance(exc, (ExperimentTimeoutError, WorkerCrashError)):
-        return False
-    return isinstance(exc, ReproError)
-
-
-def _failure(task: Task, error: BaseException, attempts: int) -> ExperimentFailure:
-    """An :class:`ExperimentFailure` record for one task's error."""
-    return ExperimentFailure(
-        experiment_id=task.experiment_id,
-        error_type=type(error).__name__,
-        message=str(error),
-        attempts=attempts,
-        task_id=task.task_id,
+    return (
+        WorkerCrashError.__name__,
+        f"worker for task {task.task_id!r} died "
+        f"(exit code {slot.process.exitcode}) before reporting a result",
     )
 
 
-def _attempt_retries(
-    task: Task,
-    days: float,
-    seed: int,
-    options: RunnerOptions,
-    first_error: BaseException,
-    attempts_used: int,
-) -> Tuple[Optional[Tuple[object, float]], Optional[ExperimentFailure]]:
-    """Isolated re-runs after a transient failure; ``(outcome, failure)``."""
-    error: BaseException = first_error
-    attempts = attempts_used
-    while not _is_deterministic(error) and attempts - attempts_used < options.retries:
-        time.sleep(RETRY_BACKOFF.delay(attempts - attempts_used + 1))
-        attempts += 1
-        try:
-            outcome = _run_isolated(
-                task.experiment_id, task.task_id, days, seed, options.timeout_s
-            )
-            return outcome, None
-        except Exception as exc:  # noqa: BLE001 - every failure becomes a record
-            error = exc
-    return None, _failure(task, error, attempts)
-
-
-def _record(
-    task: Task,
-    outcome: Tuple[object, float],
-    values: Dict[str, object],
-    task_seconds: Dict[str, float],
-) -> None:
-    """File one task's successful ``(value, seconds)`` outcome."""
-    values[task.task_id] = outcome[0]
-    task_seconds[task.task_id] = outcome[1]
+def _wake_after(slots: Iterable[Slot], policy: RestartPolicy, now: float) -> Optional[float]:
+    """Seconds until ``Pool.check`` has a timed decision due (``None``: none)."""
+    due = [
+        slot.respawn_at if slot.state == RESTARTING
+        else slot.heartbeat.value + policy.liveness_deadline_s if slot.dead_since is None
+        else slot.dead_since + EXIT_GRACE_S
+        for slot in slots
+    ]
+    soonest = min(due, default=math.inf)
+    return None if math.isinf(soonest) else max(0.0, soonest - now)
 
 
 def _run_wave_serial(
     wave: Sequence[Task],
     days: float,
     seed: int,
-    options: RunnerOptions,
+    policy: RestartPolicy,
     values: Dict[str, object],
     task_seconds: Dict[str, float],
     failed: Dict[str, ExperimentFailure],
 ) -> None:
-    """In-process serial execution with per-task failure capture.
+    """In-process execution with per-task failure capture.
 
-    With a timeout configured, each task runs in an isolated subprocess
-    instead (an in-process run cannot be interrupted).
+    A library error is final; a task that raised anything else is
+    retried in forked children while the retry budget lasts.
     """
+    retry: List[Task] = []
     for task in wave:
         try:
-            if options.timeout_s is not None:
-                outcome = _run_isolated(
-                    task.experiment_id, task.task_id, days, seed, options.timeout_s
-                )
-            else:
-                start_s = time.perf_counter()
-                value = task.execute(days, seed)
-                outcome = (value, time.perf_counter() - start_s)
-            _record(task, outcome, values, task_seconds)
+            outcome = _execute_task(task.experiment_id, task.task_id, days, seed)
         except Exception as exc:  # noqa: BLE001 - recorded, never aborts the batch
-            outcome, failure = _attempt_retries(
-                task, days, seed, options, exc, attempts_used=1
-            )
-            if outcome is not None:
-                _record(task, outcome, values, task_seconds)
-            elif failure is not None:
-                failed[task.task_id] = failure
+            if isinstance(exc, ReproError) or policy.max_restarts == 0:
+                failed[task.task_id] = _failure(task, (type(exc).__name__, str(exc)), 1)
+            else:
+                retry.append(task)
+            continue
+        values[task.task_id], task_seconds[task.task_id] = outcome
+    if retry:
+        _run_wave_forked(retry, days, seed, 1, policy, values, task_seconds, failed, retrying=True)
 
 
-def _terminate_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
-    """Best-effort kill of a pool's workers (used after a watchdog trip)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except (OSError, ValueError):  # already dead / already closed
-            pass
-
-
-def _run_wave_parallel(
+def _run_wave_forked(
     wave: Sequence[Task],
     days: float,
     seed: int,
-    n_jobs: int,
-    options: RunnerOptions,
+    jobs: int,
+    policy: RestartPolicy,
     values: Dict[str, object],
     task_seconds: Dict[str, float],
     failed: Dict[str, ExperimentFailure],
+    retrying: bool = False,
 ) -> None:
-    """Pool fan-out of one wave with per-future capture and downgrades.
+    """Run each task of ``wave`` in its own forked :class:`Pool` slot.
 
-    ``wave`` arrives already scheduled; submission order is dispatch
-    order, so LPT actually starts the long tasks first.
+    ``wave`` arrives scheduled: slots start in its order, at most ``jobs``
+    at a time, and each child reports on its own pipe.  A child that sends
+    a result or a library error is done.  One that exits 1 after sending
+    any other exception, dies without a word, or runs past the policy's
+    deadline is a ``Pool.check`` crash or hang and is respawned on the
+    backoff until ``exhausted``, so a task makes ``1 + respawns`` attempts.
+    ``retrying`` tasks already failed once in-process: their first child
+    waits out the first backoff, like a respawn.
     """
-    n_workers = min(n_jobs, len(wave))
-    # The watchdog bounds the whole wave: each worker slot processes at
-    # most ceil(wave / workers) tasks back to back.
-    watchdog: Optional[float] = None
-    if options.timeout_s is not None:
-        watchdog = options.timeout_s * math.ceil(len(wave) / n_workers) + 5.0
+    readers: Dict[int, Any] = {}
+    writers: Dict[int, Any] = {}
 
-    by_task = {task.task_id: task for task in wave}
-    retry_errors: Dict[str, BaseException] = {}
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
-    watchdog_tripped = False
+    def args(slot: Slot) -> tuple:
+        readers[slot.sid], writers[slot.sid] = FORK.Pipe(duplex=False)
+        task = wave[slot.sid]
+        return (task.experiment_id, task.task_id, days, seed, writers[slot.sid])
+
+    def started(slot: Slot) -> None:
+        writers.pop(slot.sid).close()  # the child holds the only writer
+        slot.state = LIVE  # judged against the deadline from now on
+
+    def drop(sid: int) -> None:
+        reader = readers.pop(sid, None)
+        if reader is not None:
+            reader.close()
+
+    pool = Pool(len(wave), policy, _task_main, args, ctx=FORK)
+    waiting = deque(pool.slots)
+    running: Dict[int, Slot] = {}
+    # The exception a running child sent before its exit-1 crash.
+    sent: Dict[int, Tuple[str, str]] = {}
     try:
-        futures = {
-            pool.submit(
-                _execute_task, task.experiment_id, task.task_id, days, seed
-            ): task.task_id
-            for task in wave
-        }
-        try:
-            for future in concurrent.futures.as_completed(futures, timeout=watchdog):
-                task_id = futures[future]
-                task = by_task[task_id]
-                try:
-                    _record(task, future.result(), values, task_seconds)
-                except BrokenProcessPool:
-                    # The crash poisons every in-flight future; all of
-                    # them downgrade to the isolated serial path.
-                    retry_errors[task_id] = WorkerCrashError(
-                        f"worker pool broke while running {task_id!r}"
-                    )
-                except ReproError as exc:
-                    failed[task_id] = _failure(task, exc, attempts=1)
-                except Exception as exc:  # noqa: BLE001 - downgraded to retry
-                    retry_errors[task_id] = exc
-        except concurrent.futures.TimeoutError:
-            watchdog_tripped = True
-            for future, task_id in futures.items():
-                if future.done() or task_id in values:
-                    continue
-                task = by_task[task_id]
-                if future.cancel():
-                    # Never started: give it an isolated serial run.
-                    retry_errors[task_id] = WorkerCrashError(
-                        f"{task_id!r} was still queued when the pool watchdog fired"
-                    )
+        while waiting or running:
+            now = time.monotonic()
+            while waiting and len(running) < jobs:
+                slot = waiting.popleft()
+                running[slot.sid] = slot
+                if retrying:
+                    slot.state, slot.respawn_at = RESTARTING, now + policy.delay(1)
                 else:
-                    failed[task_id] = ExperimentFailure(
-                        experiment_id=task.experiment_id,
-                        error_type=ExperimentTimeoutError.__name__,
-                        message=(
-                            f"still running when the pool watchdog fired "
-                            f"after {watchdog:g} s"
-                        ),
-                        attempts=1,
-                        task_id=task_id,
-                    )
-            _terminate_pool(pool)
+                    pool.spawn(slot, now)
+                    started(slot)
+            wakers = list(readers.values()) + [
+                slot.process.sentinel
+                for slot in running.values()
+                if slot.state == LIVE and slot.dead_since is None
+            ]
+            wait(wakers, _wake_after(running.values(), policy, now))
+            # Every readable pipe first, so a child that reported and
+            # exited is never judged a crash.
+            for sid in [sid for sid, reader in readers.items() if reader.poll()]:
+                try:
+                    kind, *payload = readers[sid].recv()
+                except EOFError:  # died without a word: check() reports it
+                    drop(sid)
+                    continue
+                if kind == "retry":
+                    sent[sid] = tuple(payload)
+                    continue
+                drop(sid)
+                slot, task = running.pop(sid), wave[sid]
+                slot.state = STOPPED
+                if kind == "ok":
+                    values[task.task_id], task_seconds[task.task_id] = payload
+                else:
+                    failed[task.task_id] = _failure(task, tuple(payload), 1 + slot.restarts)
+            now = time.monotonic()
+            for slot, event in pool.check(now):
+                if event == "respawned":
+                    started(slot)
+                    continue
+                drop(slot.sid)
+                error = sent.pop(slot.sid, None)
+                if event == "exhausted":
+                    task = wave[slot.sid]
+                    error = error or _death_error(task, slot, policy, now)
+                    failed[task.task_id] = _failure(task, error, 1 + slot.restarts)
+                    del running[slot.sid]
     finally:
-        pool.shutdown(wait=not watchdog_tripped, cancel_futures=True)
-
-    # Crash/transient downgrades: isolated serial re-runs, in wave
-    # order so the downgrade path stays deterministic.
-    for task in wave:
-        if task.task_id not in retry_errors:
-            continue
-        if task.task_id == CONTEXT_TASK_ID:
-            # No isolated re-run: the parent regenerates the trace inline.
-            failed[task.task_id] = _failure(task, retry_errors[task.task_id], attempts=1)
-            continue
-        try:
-            outcome = _run_isolated(
-                task.experiment_id, task.task_id, days, seed, options.timeout_s
-            )
-            _record(task, outcome, values, task_seconds)
-        except Exception as exc:  # noqa: BLE001 - recorded below
-            outcome, failure = _attempt_retries(
-                task, days, seed, options, exc, attempts_used=2
-            )
-            if outcome is not None:
-                _record(task, outcome, values, task_seconds)
-            elif failure is not None:
-                failed[task.task_id] = failure
+        # Children ignore SIGINT: on any way out, kill what still runs.
+        pool.close(0.0)
+        for conn in [*readers.values(), *writers.values()]:
+            conn.close()
 
 
 def run_experiments_detailed(
@@ -594,6 +520,7 @@ def run_experiments_detailed(
             f"schedule must be one of {list(SCHEDULE_MODES)}, got {schedule!r}"
         )
     options = options or RunnerOptions()
+    policy = options.policy()
     ids = resolve_ids(ids)
 
     cache = default_cache()
@@ -615,7 +542,7 @@ def run_experiments_detailed(
         task_seconds: Dict[str, float] = {}
         task_failures: Dict[str, ExperimentFailure] = {}
         # A cold trace on a multi-core run is generated by the graph's
-        # context task in the first pool wave, next to the tasks that do
+        # context task in the first wave, next to the tasks that do
         # not need it.  Otherwise it is settled up front: the parent
         # warms it inline before any task runs.
         done = set() if n_jobs > 1 and _trace_is_cold(days, seed) else {CONTEXT_TASK_ID}
@@ -627,7 +554,7 @@ def run_experiments_detailed(
         while True:
             settled = done | set(task_failures)
             if context is None and CONTEXT_TASK_ID in settled:
-                # Load the pooled task's artifact into the parent before
+                # Load the forked task's artifact into the parent before
                 # the next wave forks, or regenerate inline after it
                 # failed (resuming from any sealed chunks).  If even that
                 # fails, every pending experiment fails for that one
@@ -666,35 +593,22 @@ def run_experiments_detailed(
                     (dep for dep in task.deps if dep in task_failures), None
                 )
                 if failed_dep is not None:
-                    task_failures[task.task_id] = ExperimentFailure(
-                        experiment_id=task.experiment_id,
-                        error_type=ExperimentError.__name__,
-                        message=f"dependency task {failed_dep!r} failed",
-                        attempts=1,
-                        task_id=task.task_id,
-                    )
+                    error = (ExperimentError.__name__, f"dependency task {failed_dep!r} failed")
+                    task_failures[task.task_id] = _failure(task, error, attempts=1)
                 else:
                     runnable.append(task)
             if runnable:
                 ordered = schedule_tasks(runnable, costs, schedule)
-                if n_jobs == 1:
+                if n_jobs == 1 and options.timeout_s is None:
                     _run_wave_serial(
-                        ordered, days, seed, options, values, task_seconds, task_failures
+                        ordered, days, seed, policy, values, task_seconds, task_failures
                     )
                 else:
-                    # With jobs > 1 even a single task goes through a
-                    # worker process, so a crashing task cannot take
-                    # down the parent (crash isolation is part of the
-                    # jobs > 1 contract).
-                    _run_wave_parallel(
-                        ordered,
-                        days,
-                        seed,
-                        n_jobs,
-                        options,
-                        values,
-                        task_seconds,
-                        task_failures,
+                    # With jobs > 1 even a single task runs in a child, so a
+                    # crashing task cannot take down the parent; a timeout
+                    # needs a child to kill.
+                    _run_wave_forked(
+                        ordered, days, seed, n_jobs, policy, values, task_seconds, task_failures
                     )
             done.update(tid for tid in values if tid not in done)
 
@@ -757,9 +671,9 @@ def run_experiments(
     days, seed:
         Synthetic-trace parameters, as for :func:`get_context`.
     jobs:
-        Worker processes for cache misses.  ``None``/``1`` runs
-        serially in-process; ``N > 1`` fans out over
-        ``min(N, ready tasks)`` processes.
+        Child processes for cache misses.  ``None``/``1`` runs
+        serially in-process; ``N > 1`` runs each task in a forked
+        child, at most ``N`` at a time.
 
     Returns
     -------

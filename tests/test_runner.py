@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +14,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments import context as context_mod
 from repro.experiments import graph as graph_mod
 from repro.experiments import runner as runner_mod
-from repro.experiments.graph import CONTEXT_TASK_ID
+from repro.experiments.graph import CONTEXT_TASK_ID, Task
 from repro.experiments.runner import (
     RunnerOptions,
     resolve_ids,
@@ -197,11 +199,21 @@ class TestFailureIsolation:
         for experiment_id, text in survived.items():
             assert text == serial[experiment_id]
 
-    def test_worker_crash_downgraded_and_recorded(self, monkeypatch):
+    def test_worker_crash_downgraded_and_recorded(self, tmp_path, monkeypatch):
         def _die(context=None):
             os._exit(3)
 
+        # Children are forked, so they count their runs through a file.
+        fig2_runs = tmp_path / "fig2-runs"
+        original = EXPERIMENTS["fig2"].run
+
+        def _counted(context=None):
+            with open(fig2_runs, "a") as fh:
+                fh.write("run\n")
+            return original(context=context)
+
         monkeypatch.setattr(EXPERIMENTS["fig3"], "run", _die)
+        monkeypatch.setattr(EXPERIMENTS["fig2"], "run", _counted)
         report = run_experiments_detailed(
             ["fig2", "fig3"],
             days=7.0,
@@ -212,7 +224,9 @@ class TestFailureIsolation:
         (failure,) = report.failures
         assert failure.experiment_id == "fig3"
         assert failure.error_type == "WorkerCrashError"
-        assert failure.attempts > 1  # pool attempt + isolated retries
+        assert failure.attempts == 2  # the first child + one respawn
+        # The crash never reaches the sibling: it ran exactly once.
+        assert fig2_runs.read_text().splitlines() == ["run"]
 
     def test_transient_failure_recovers_on_retry(self, monkeypatch):
         calls = {"n": 0}
@@ -275,15 +289,15 @@ class TestFailureIsolation:
 
 
 def _spy_pool_waves(monkeypatch):
-    """Record the task ids of every wave handed to the worker pool."""
+    """Record the task ids of every wave handed to forked children."""
     waves = []
-    original = runner_mod._run_wave_parallel
+    original = runner_mod._run_wave_forked
 
     def _spy(wave, *args, **kwargs):
         waves.append([task.task_id for task in wave])
         return original(wave, *args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "_run_wave_parallel", _spy)
+    monkeypatch.setattr(runner_mod, "_run_wave_forked", _spy)
     return waves
 
 
@@ -353,3 +367,204 @@ class TestPooledContextTask:
         assert report.results == reference
         assert waves
         assert all(CONTEXT_TASK_ID not in wave for wave in waves)
+
+
+# ---------------------------------------------------------------------------
+# The forked dispatch loop under a fake clock: no processes, no sleeps
+# ---------------------------------------------------------------------------
+
+#: Every fake wake-up costs this much time, as any real syscall does.
+TICK = 1e-6
+
+
+class FakeReader:
+    """The parent's end of a child's result pipe."""
+
+    def __init__(self):
+        self.inbox, self.eof = [], False
+
+    def poll(self):
+        return bool(self.inbox) or self.eof
+
+    def recv(self):
+        if self.inbox:
+            return self.inbox.pop(0)
+        raise EOFError
+
+    def close(self):
+        pass
+
+
+class FakeChild:
+    """A forked task child that plays its task's next scripted outcome:
+    ``ok``, ``error`` (library error), ``raise`` (any other exception),
+    ``crash`` (dies without a word) or ``hang``, after a duration."""
+
+    def __init__(self, fork, args):
+        _, self.heartbeat, (_, self.task_id, _, _, writer) = args
+        self.fork, self.reader = fork, writer.reader
+        self.exitcode = None
+        self.sentinel = object()
+
+    def start(self):
+        fork = self.fork
+        self.outcome, duration = fork.script[self.task_id].pop(0)
+        self.finish_at = fork.now + duration
+        fork.starts.append((self.task_id, fork.now))
+        fork.children.append(self)
+        fork.max_live = max(fork.max_live, sum(c.is_alive() for c in fork.children))
+
+    def is_alive(self):
+        return self.exitcode is None
+
+    def kill(self):
+        self.exit(-9)
+
+    def join(self, timeout_s=None):
+        pass
+
+    def exit(self, code):
+        self.exitcode, self.reader.eof = code, True
+
+    def finish(self):
+        messages = {
+            "ok": [("ok", self.task_id.upper(), 1.5)],
+            "error": [("error", "DataError", "bad data")],
+            "raise": [("retry", "RuntimeError", "glitch")],
+            "crash": [],
+        }[self.outcome]
+        self.reader.inbox.extend(messages)
+        self.exit(0 if self.outcome in ("ok", "error") else 1)
+
+
+class FakeFork:
+    """A fork context, clock and ``wait`` in one: ``wait`` jumps the clock
+    to the next scripted child exit, or by its timeout."""
+
+    def __init__(self, script):
+        self.script = {task_id: list(outcomes) for task_id, outcomes in script.items()}
+        self.now = 0.0
+        self.starts, self.children, self.max_live, self.waits = [], [], 0, 0
+
+    def Value(self, typecode, value):
+        return SimpleNamespace(value=value)
+
+    def Pipe(self, duplex):
+        reader = FakeReader()
+        return reader, SimpleNamespace(reader=reader, close=lambda: None)
+
+    def Process(self, target, args, name, daemon):
+        return FakeChild(self, args)
+
+    def monotonic(self):
+        return self.now
+
+    def wait(self, objects, timeout_s):
+        self.waits += 1
+        assert self.waits < 10_000, "the dispatch loop spins"
+        alive = [child for child in self.children if child.is_alive()]
+        child = min(alive, key=lambda c: c.finish_at, default=None)
+        if child is not None and (timeout_s is None or child.finish_at <= self.now + timeout_s):
+            self.now = max(self.now, child.finish_at) + TICK
+            child.finish()
+            return []
+        assert timeout_s is not None, "the dispatch loop would block forever"
+        self.now += timeout_s + TICK
+        return []
+
+
+class TestForkedDispatchLoop:
+    """``_run_wave_forked`` on fake children: each slot's crash, hang and
+    respawn path, the ``jobs`` bound and the interrupt path."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        def _run(script=None, jobs=1, timeout_s=None, retries=1, retrying=False, fork=None):
+            fork = fork or FakeFork(script)
+            monkeypatch.setattr(runner_mod, "FORK", fork)
+            monkeypatch.setattr(runner_mod, "wait", fork.wait)
+            monkeypatch.setattr(
+                runner_mod, "time", SimpleNamespace(monotonic=fork.monotonic)
+            )
+            wave = [Task(task_id, "fig2", fn=len) for task_id in fork.script]
+            values, seconds, failed = {}, {}, {}
+            policy = RunnerOptions(timeout_s=timeout_s, retries=retries).policy()
+            runner_mod._run_wave_forked(
+                wave, 7.0, 0, jobs, policy, values, seconds, failed, retrying
+            )
+            fork.values, fork.seconds, fork.failed = values, seconds, failed
+            return fork
+
+        return _run
+
+    @staticmethod
+    def start_times(fork):
+        return [now for _, now in fork.starts]
+
+    def test_hang_past_the_deadline_times_out_after_every_respawn(self, run):
+        fork = run({"t": [("hang", math.inf)] * 3}, timeout_s=1.0, retries=2)
+        failure = fork.failed["t"]
+        assert failure.error_type == "ExperimentTimeoutError"
+        assert "1 s timeout" in failure.message
+        assert failure.attempts == 3
+        # Killed at each deadline, respawned 0.25 s and then 0.5 s later.
+        assert self.start_times(fork) == pytest.approx([0.0, 1.25, 2.75], abs=1e-3)
+        assert fork.now == pytest.approx(3.75, abs=1e-3)
+        assert not any(child.is_alive() for child in fork.children)
+
+    def test_crash_is_respawned_on_the_backoff(self, run):
+        fork = run({"t": [("crash", 0.5), ("ok", 0.5)]})
+        assert (fork.values, fork.seconds, fork.failed) == ({"t": "T"}, {"t": 1.5}, {})
+        assert self.start_times(fork) == pytest.approx([0.0, 0.75], abs=1e-3)
+
+    def test_a_sent_exception_is_retried_and_recorded(self, run):
+        fork = run({"t": [("raise", 0.1), ("raise", 0.1)]})
+        failure = fork.failed["t"]
+        assert (failure.error_type, failure.message) == ("RuntimeError", "glitch")
+        assert failure.attempts == 2
+
+    def test_a_library_error_is_final(self, run):
+        fork = run({"t": [("error", 0.1)]}, retries=3)
+        failure = fork.failed["t"]
+        assert (failure.error_type, failure.attempts) == ("DataError", 1)
+        assert len(fork.starts) == 1
+
+    def test_zero_retries_fail_on_the_first_death(self, run):
+        fork = run({"t": [("crash", 0.1)]}, retries=0)
+        failure = fork.failed["t"]
+        assert failure.error_type == "WorkerCrashError"
+        assert "exit code 1" in failure.message
+        assert failure.attempts == 1
+        assert len(fork.starts) == 1
+
+    def test_never_more_than_jobs_live_children(self, run):
+        script = {
+            "a": [("ok", 3.0)],
+            "b": [("crash", 1.0), ("ok", 1.0)],
+            "c": [("ok", 2.0)],
+            "d": [("ok", 1.0)],
+            "e": [("ok", 1.0)],
+        }
+        fork = run(script, jobs=2)
+        assert fork.max_live == 2
+        assert set(fork.values) == set(script)
+        # Dispatch follows the wave order; a respawning slot keeps its lane.
+        assert [task_id for task_id, _ in fork.starts] == ["a", "b", "b", "c", "d", "e"]
+
+    def test_retrying_tasks_wait_out_the_first_backoff(self, run):
+        fork = run({"t": [("ok", 0.5)]}, retrying=True)
+        assert fork.values == {"t": "T"}
+        assert self.start_times(fork) == pytest.approx([0.25], abs=1e-3)
+
+    def test_an_interrupt_leaves_no_child_alive(self, run):
+        fork = FakeFork({"a": [("hang", math.inf)], "b": [("hang", math.inf)]})
+
+        def _interrupt(objects, timeout_s):
+            raise KeyboardInterrupt
+
+        fork.wait = _interrupt
+        with pytest.raises(KeyboardInterrupt):
+            run(fork=fork, jobs=2)
+        # Children ignore SIGINT, so the parent must have killed both.
+        assert len(fork.children) == 2
+        assert not any(child.is_alive() for child in fork.children)

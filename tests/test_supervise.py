@@ -7,6 +7,7 @@ The real-process chaos paths stay covered by ``test_server.py`` and
 ``test_ingest.py``.
 """
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +23,8 @@ from repro.core.supervise import (
     Pool,
     RestartPolicy,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments.runner import RunnerOptions
 from repro.streaming import WorkerPoolConfig
 from repro.streaming.shards import ShardRunnerOptions
 
@@ -78,17 +80,20 @@ def live(pool, sid=0):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, error",
     [
-        lambda: RestartPolicy(liveness_deadline_s=0.0),
-        lambda: RestartPolicy(max_restarts=-1),
-        lambda: RestartPolicy(backoff_s=0.0),
-        lambda: WorkerPoolConfig(liveness_deadline_s=0.0),
-        lambda: WorkerPoolConfig(max_restarts=-1),
-        lambda: WorkerPoolConfig(restart_backoff_s=0.0),
-        lambda: ShardRunnerOptions(liveness_deadline_s=0.0),
-        lambda: ShardRunnerOptions(max_restarts=-1),
-        lambda: ShardRunnerOptions(restart_backoff_s=0.0),
+        (lambda: RestartPolicy(liveness_deadline_s=0.0), ConfigurationError),
+        (lambda: RestartPolicy(max_restarts=-1), ConfigurationError),
+        (lambda: RestartPolicy(backoff_s=0.0), ConfigurationError),
+        (lambda: WorkerPoolConfig(liveness_deadline_s=0.0), ConfigurationError),
+        (lambda: WorkerPoolConfig(max_restarts=-1), ConfigurationError),
+        (lambda: WorkerPoolConfig(restart_backoff_s=0.0), ConfigurationError),
+        (lambda: ShardRunnerOptions(liveness_deadline_s=0.0), ConfigurationError),
+        (lambda: ShardRunnerOptions(max_restarts=-1), ConfigurationError),
+        (lambda: ShardRunnerOptions(restart_backoff_s=0.0), ConfigurationError),
+        # The runner names its own knobs (its backoff is fixed).
+        (lambda: RunnerOptions(timeout_s=0.0), ExperimentError),
+        (lambda: RunnerOptions(retries=-1), ExperimentError),
     ],
     ids=[
         "policy-liveness",
@@ -100,16 +105,22 @@ def live(pool, sid=0):
         "shards-liveness",
         "shards-restarts",
         "shards-backoff",
+        "runner-timeout",
+        "runner-retries",
     ],
 )
-def test_restart_policy_fields_are_validated_once(build):
-    with pytest.raises(ConfigurationError):
+def test_restart_policy_fields_are_validated_once(build, error):
+    with pytest.raises(error):
         build()
 
 
 def test_configs_hand_their_fields_to_one_policy():
     assert WorkerPoolConfig().policy() == RestartPolicy(3.0, 3, 0.1)
     assert ShardRunnerOptions().policy() == RestartPolicy(30.0, 3, 0.5)
+    # A runner task's timeout is its deadline (none when unset), and its
+    # retries are respawns.
+    assert RunnerOptions().policy() == RestartPolicy(math.inf, 1, 0.25)
+    assert RunnerOptions(timeout_s=600.0, retries=2).policy() == RestartPolicy(600.0, 2, 0.25)
 
 
 def test_backoff_doubles_from_its_base():
