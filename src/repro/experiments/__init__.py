@@ -3,13 +3,10 @@
 Each module exposes ``run(context=None, ...) -> ExperimentResult``; the
 registry in :data:`EXPERIMENTS` maps the paper's table/figure IDs to
 those runners so the CLI and the benchmarks can drive them uniformly.
-
-Entries may additionally declare a task decomposition — ``tasks(days,
-seed) -> list[Task]`` plus ``reduce_tasks(context, shards) ->
-ExperimentResult`` (see :mod:`repro.experiments.graph`) — which the
-runner schedules as independent shards; :data:`SHARDED_EXPERIMENTS`
-lists the ids that do.  Entries without the hooks run monolithically,
-exactly as before.
+The runner (:mod:`repro.experiments.runner`) schedules each entry as
+one task.  An entry that declares ``NEEDS_CONTEXT = False`` (today
+``ext-fleet``) is called as ``run(seed=...)`` and never waits for the
+shared trace.
 """
 
 from repro.experiments.base import ExperimentResult
@@ -62,18 +59,8 @@ EXPERIMENTS = {
     "robustness-count": SimpleNamespace(run=robustness.run_count_sweep),
 }
 
-#: Registry ids whose entries declare a shardable task decomposition
-#: (``tasks``/``reduce_tasks`` hooks); everything else runs as a single
-#: monolithic task.
-SHARDED_EXPERIMENTS = tuple(
-    experiment_id
-    for experiment_id, entry in EXPERIMENTS.items()
-    if hasattr(entry, "tasks") and hasattr(entry, "reduce_tasks")
-)
-
 __all__ = [
     "ExperimentContext",
     "ExperimentResult",
     "EXPERIMENTS",
-    "SHARDED_EXPERIMENTS",
 ]

@@ -82,7 +82,7 @@ def get_context(
     """Cached context for (days, seed)."""
     key = (float(days), int(seed))
     if key not in _CONTEXTS:
-        _CONTEXTS[key] = ExperimentContext.create(days=days, seed=seed)
+        _CONTEXTS[key] = ExperimentContext.create(*key)
     return _CONTEXTS[key]
 
 

@@ -10,39 +10,33 @@ cross-building workflow the transfer-learning literature assumes as a
 starting point: simulate the fleet once, fit every building from the
 shared batched trace, and compare the identified dynamics.
 
-As a task decomposition (:func:`tasks` / :func:`reduce_tasks`) the
-experiment splits into one **warm** shard that runs the batched fleet
-pass (sealing the per-building chunk series in the artifact cache) and
-one identification shard per building that loads the warm trace and
-fits its model; the per-building shards declare an explicit dependency
-on the warm shard.  The reduce reassembles the rows in fleet order —
-byte-identical to the monolithic :func:`run` when every shard
-succeeded, with a ``FAILED`` row for any building whose fit did not.
+The fleet never reads the paper trace: :func:`run` needs only the
+seed, and the module declares :data:`NEEDS_CONTEXT` false, so the
+runner schedules it beside the context task on a cold multi-core
+report instead of after it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro import rng as rng_mod
 from repro.data.dataset import AuditoriumDataset, InputChannels
 from repro.data.timeseries import TimeAxis
 from repro.experiments.base import ExperimentResult
 from repro.experiments.context import ExperimentContext
 from repro.geometry.layout import THERMOSTAT_IDS
-from repro.simulation.fleet import BuildingSpec, FleetConfig, FleetResult, build_fleet
+from repro.simulation.fleet import BuildingSpec, FleetConfig, FleetResult
 from repro.sysid.arx import identify_arx
 
 __all__ = [
     "run",
-    "run_building",
-    "warm_fleet",
     "building_dataset",
-    "reduce_tasks",
-    "tasks",
     "FLEET_DAYS",
     "FLEET_BUILDINGS",
+    "NEEDS_CONTEXT",
 ]
 
 #: Trace length of the fleet experiment.  Deliberately independent of
@@ -56,8 +50,8 @@ FLEET_BUILDINGS = 8
 #: Assemble at the paper's 15-minute resolution (dt = 60 s -> every 15th step).
 _SUBSAMPLE = 15
 
-#: Task id of the shared fleet-simulation shard.
-WARM_TASK_ID = "ext-fleet/warm"
+#: The runner calls :func:`run` with the seed alone, never the context.
+NEEDS_CONTEXT = False
 
 
 def building_dataset(result, spec) -> AuditoriumDataset:
@@ -119,26 +113,29 @@ def _building_row(spec: BuildingSpec, result) -> Tuple[List[Any], float]:
     )
 
 
-def _spec_row(spec: BuildingSpec) -> List[Any]:
-    """Degraded row for a building whose identification shard failed."""
-    return [
-        spec.name,
-        f"{spec.width:.0f}x{spec.depth:.0f}x{spec.height:.0f}",
-        spec.capacity,
-        spec.n_vavs,
-        round(spec.simulation.hvac.setpoint, 2),
-        "FAILED",
-        "n/a",
-    ]
-
-
-def _result(
-    rows: Sequence[List[Any]],
-    radii: Sequence[float],
-    extra_notes: Sequence[str],
-    n_buildings: int,
+def run(
+    context: Optional[ExperimentContext] = None,
+    fleet: Optional[FleetResult] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentResult:
-    """Assemble the fleet table from (possibly degraded) building rows."""
+    """Identify a first-order model per building from one batched pass.
+
+    The fleet is drawn from ``seed``, else the context's seed, else the
+    default seed; nothing else of the context is read.
+    """
+    from repro.data.synth import generate_fleet
+
+    if fleet is None:
+        if seed is None:
+            seed = context.seed if context is not None else rng_mod.DEFAULT_SEED
+        fleet = generate_fleet(_fleet_config(seed))
+
+    rows = []
+    radii = []
+    for spec, result in zip(fleet.specs, fleet.results):
+        row, radius = _building_row(spec, result)
+        rows.append(row)
+        radii.append(radius)
     return ExperimentResult(
         experiment_id="ext-fleet",
         title="Per-building first-order models from one batched fleet trace",
@@ -151,122 +148,15 @@ def _result(
             "spectral radius",
             "tau (h)",
         ],
-        rows=list(rows),
+        rows=rows,
         notes=[
-            f"{n_buildings} buildings, {FLEET_DAYS:g}-day traces, one "
+            f"{len(fleet.specs)} buildings, {FLEET_DAYS:g}-day traces, one "
             "vectorized pass; every trajectory is bit-identical to the "
             "building's solo run (see docs/simulation.md, Fleet batching)",
             "all models stable (spectral radius < 1) — the fleet "
             "distribution stays inside the physical regime",
             "extension - the paper had one building; transfer across a "
             "fleet is its natural next step",
-            *extra_notes,
         ],
-        extras={"spectral_radii": list(radii)},
+        extras={"spectral_radii": radii},
     )
-
-
-def run(
-    context: Optional[ExperimentContext] = None,
-    fleet: Optional[FleetResult] = None,
-) -> ExperimentResult:
-    """Identify a first-order model per building from one batched pass."""
-    from repro.data.synth import generate_fleet
-
-    if fleet is None:
-        seed = context.seed if context is not None else None
-        config = (
-            _fleet_config(seed) if seed is not None
-            else FleetConfig(n_buildings=FLEET_BUILDINGS, days=FLEET_DAYS)
-        )
-        fleet = generate_fleet(config)
-
-    rows = []
-    radii = []
-    for spec, result in zip(fleet.specs, fleet.results):
-        row, radius = _building_row(spec, result)
-        rows.append(row)
-        radii.append(radius)
-    return _result(rows, radii, (), n_buildings=len(fleet.specs))
-
-
-def warm_fleet(days: float, seed: int) -> int:
-    """Warm shard: run the batched fleet pass once; returns the fleet size.
-
-    ``days`` is the report protocol length and deliberately unused —
-    the fleet experiment always integrates :data:`FLEET_DAYS`-day
-    traces.  The batched pass seals each building's chunk series in the
-    artifact cache, so the per-building shards (and the reduce) reload
-    it instead of re-integrating.
-    """
-    from repro.data.synth import generate_fleet
-
-    del days
-    return generate_fleet(_fleet_config(seed)).n_buildings
-
-
-def run_building(days: float, seed: int, index: int) -> Tuple[List[Any], float]:
-    """Task entry point: identify one building from the warm fleet trace."""
-    from repro.data.synth import generate_fleet
-
-    del days
-    fleet = generate_fleet(_fleet_config(seed))
-    return _building_row(fleet.specs[index], fleet.results[index])
-
-
-def _building_task_id(index: int) -> str:
-    return f"ext-fleet/building-{index}"
-
-
-def tasks(days: float, seed: int):
-    """One warm shard plus one identification shard per building."""
-    from repro.experiments.graph import Task
-
-    shards = [
-        # The fleet pass never reads the paper trace, so it can run
-        # while the context task generates it.
-        Task(
-            task_id=WARM_TASK_ID,
-            experiment_id="ext-fleet",
-            fn=warm_fleet,
-            needs_context=False,
-        )
-    ]
-    shards.extend(
-        Task(
-            task_id=_building_task_id(index),
-            experiment_id="ext-fleet",
-            fn=run_building,
-            params=(("index", index),),
-            deps=(WARM_TASK_ID,),
-        )
-        for index in range(FLEET_BUILDINGS)
-    )
-    return shards
-
-
-def reduce_tasks(
-    context: ExperimentContext, shards: Mapping[str, Any]
-) -> ExperimentResult:
-    """Reassemble the fleet table from per-building shards, in fleet order.
-
-    A failed building renders as a ``FAILED`` row — its geometry columns
-    come from the (cheap, seeded) spec distribution, which is identical
-    to what the simulation shard saw.
-    """
-    specs = build_fleet(_fleet_config(context.seed))
-    rows: List[List[Any]] = []
-    radii: List[float] = []
-    extra_notes: List[str] = []
-    for index, spec in enumerate(specs):
-        shard = shards.get(_building_task_id(index))
-        if shard is not None:
-            row, radius = shard
-            rows.append(row)
-            radii.append(radius)
-        else:
-            rows.append(_spec_row(spec))
-            extra_notes.append(
-                f"building {spec.name} failed to identify; see the failures section"
-            )
-    return _result(rows, radii, extra_notes, n_buildings=len(specs))

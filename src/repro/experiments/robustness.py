@@ -30,14 +30,6 @@ A severity at which the *modelling* stages run out of usable data is
 reported as a degraded row (``n/a`` metrics plus the typed error in
 the notes) rather than failing the experiment — that is the graceful
 part of the degradation.
-
-The severity sweep is also exposed as a task decomposition
-(:func:`tasks` / :func:`reduce_tasks`): each (severity, replicate)
-cell runs the degraded path on its own schedulable shard
-(:func:`run_severity_cell`), and the reduce recomputes the cross-cell
-selection-overlap baselines and reassembles the table — byte-identical
-to the monolithic :func:`run` whenever every shard succeeded, with
-``n/a`` metrics for any cell whose shard did not.
 """
 
 from __future__ import annotations
@@ -65,9 +57,6 @@ __all__ = [
     "replicate_analyses",
     "run",
     "run_count_sweep",
-    "run_severity_cell",
-    "reduce_tasks",
-    "tasks",
 ]
 
 #: Severity sweep of the degradation curve.
@@ -242,22 +231,23 @@ def _cell(value) -> object:
     return value if value is not None else "n/a"
 
 
-def _assemble_severity(
-    ctx: ExperimentContext,
-    seeds: Sequence[int],
-    base: FaultCampaign,
-    severities: Sequence[float],
-    points: dict,
+def run(
+    context: Optional[ExperimentContext] = None,
+    severities: Sequence[float] = SEVERITIES,
+    n_faulted: int = N_FAULTED,
+    replicates: int = 1,
 ) -> ExperimentResult:
-    """Assemble the severity sweep from its per-cell points.
+    """Sweep fault severity and chart the pipeline's degradation.
 
-    ``points`` maps ``(severity_index, replicate_index)`` to the cell's
-    :class:`_PointMetrics`; a missing entry means the cell's shard
-    failed, and its metrics degrade to ``n/a`` instead of failing the
-    experiment.  Both the monolithic :func:`run` (all cells present)
-    and the task-graph reduce funnel through here, so their renders are
-    byte-identical whenever every cell succeeded.
+    ``replicates`` averages every sweep point over that many seed
+    replicates (trace seeds, not campaign seeds), integrated together in
+    one batched fleet pass.
     """
+    ctx = resolve_context(context)
+    reps = replicate_analyses(ctx, replicates=replicates)
+    seeds = [seed for seed, _ in reps]
+    campaigns = [_campaign_for(analysis, seed, n_faulted) for seed, analysis in reps]
+    base = campaigns[0]
     headers = [
         "severity",
         "faulted",
@@ -277,7 +267,7 @@ def _assemble_severity(
     if len(seeds) > 1:
         notes.append(
             f"metrics averaged over {len(seeds)} seed replicates "
-            f"(seeds {list(seeds)}; traces from one batched fleet pass)"
+            f"(seeds {seeds}; traces from one batched fleet pass)"
         )
     curve = {
         "severity": [],
@@ -288,21 +278,13 @@ def _assemble_severity(
         "selection_overlap": [],
     }
 
-    n_missing = 0
     baselines: List[Optional[List[int]]] = [None] * len(seeds)
-    for si, severity in enumerate(severities):
-        cell_points: List[_PointMetrics] = []
-        for r, seed in enumerate(seeds):
-            point = points.get((si, r))
-            replicate_tag = f" (replicate seed {seed})" if len(seeds) > 1 else ""
-            if point is None:
-                n_missing += 1
-                notes.append(
-                    f"severity {severity:g}{replicate_tag} shard failed; "
-                    "metrics omitted from this row"
-                )
-                continue
+    for severity in severities:
+        points: List[_PointMetrics] = []
+        for r, ((seed, analysis), campaign) in enumerate(zip(reps, campaigns)):
+            point = _evaluate_point(analysis, campaign.scaled(severity))
             if point.error is not None:
+                replicate_tag = f" (replicate seed {seed})" if len(seeds) > 1 else ""
                 notes.append(
                     f"severity {severity:g}{replicate_tag} degraded past modelling: "
                     f"{point.error}"
@@ -311,24 +293,21 @@ def _assemble_severity(
                 if baselines[r] is None:
                     baselines[r] = point.selected
                 point.overlap = _jaccard(point.selected, baselines[r])
-            cell_points.append(point)
-        if cell_points:
-            quarantined = _agg_count([p.quarantined for p in cell_points])
-            survivors = _agg_count([p.survivors for p in cell_points])
-            segments = _agg_count([p.segments for p in cell_points])
-            faulted = _agg_count([p.n_applied for p in cell_points])
-        else:
-            quarantined = survivors = segments = faulted = None
-        rmse_c = _agg_float([p.rmse_c for p in cell_points])
-        selection_error_c = _agg_float([p.selection_error_c for p in cell_points])
-        overlap = _agg_float([p.overlap for p in cell_points])
+            points.append(point)
+        quarantined = _agg_count([p.quarantined for p in points])
+        survivors = _agg_count([p.survivors for p in points])
+        segments = _agg_count([p.segments for p in points])
+        faulted = _agg_count([p.n_applied for p in points])
+        rmse_c = _agg_float([p.rmse_c for p in points])
+        selection_error_c = _agg_float([p.selection_error_c for p in points])
+        overlap = _agg_float([p.overlap for p in points])
         rows.append(
             [
                 severity,
-                _cell(faulted),
-                _cell(quarantined),
-                _cell(survivors),
-                _cell(segments),
+                faulted,
+                quarantined,
+                survivors,
+                segments,
                 _cell(rmse_c),
                 _cell(selection_error_c),
                 _cell(overlap),
@@ -341,9 +320,8 @@ def _assemble_severity(
         curve["selection_error_c"].append(selection_error_c)
         curve["selection_overlap"].append(overlap)
 
-    quarantined_seen = [q for q in curve["quarantined"] if q is not None]
     notes.append(
-        f"max quarantined: {max(quarantined_seen, default=0)} "
+        f"max quarantined: {max(curve['quarantined'], default=0)} "
         f"of {len(base.faults)} faulted sensors"
     )
 
@@ -358,12 +336,7 @@ def _assemble_severity(
             "source": source_digest(),
         },
     )
-    cache = default_cache()
-    if cache.enabled and not n_missing:
-        # A curve with shard-failure holes is transient state, not a
-        # reusable artifact — only complete sweeps are persisted.
-        cache.store(key, curve)
-        notes.append(f"degradation curve stored as artifact {key[:16]}...")
+    default_cache().store(key, curve)
 
     return ExperimentResult(
         experiment_id="robustness",
@@ -372,93 +345,6 @@ def _assemble_severity(
         rows=rows,
         notes=notes,
         extras={"curve": curve, "artifact_key": key},
-    )
-
-
-def run(
-    context: Optional[ExperimentContext] = None,
-    severities: Sequence[float] = SEVERITIES,
-    n_faulted: int = N_FAULTED,
-    replicates: int = 1,
-) -> ExperimentResult:
-    """Sweep fault severity and chart the pipeline's degradation.
-
-    ``replicates`` averages every sweep point over that many seed
-    replicates (trace seeds, not campaign seeds), integrated together in
-    one batched fleet pass.
-    """
-    ctx = resolve_context(context)
-    reps = replicate_analyses(ctx, replicates=replicates)
-    campaigns = [
-        _campaign_for(analysis, seed, n_faulted) for seed, analysis in reps
-    ]
-    points = {}
-    for si, severity in enumerate(severities):
-        for r, ((_seed, analysis), campaign) in enumerate(zip(reps, campaigns)):
-            points[(si, r)] = _evaluate_point(analysis, campaign.scaled(severity))
-    return _assemble_severity(
-        ctx, [seed for seed, _ in reps], campaigns[0], severities, points
-    )
-
-
-def run_severity_cell(
-    days: float,
-    seed: int,
-    severity: float,
-    replicate: int = 0,
-    n_faulted: int = N_FAULTED,
-    replicates: int = 1,
-) -> _PointMetrics:
-    """Task entry point: one (severity, replicate) cell of the sweep.
-
-    Self-contained: resolves the shared context, derives the replicate's
-    analysis dataset and campaign exactly as :func:`run` would, and
-    runs the full degraded path for one severity.  The returned
-    :class:`_PointMetrics` carries no ``overlap`` — selection overlap
-    is relative to the fault-free baseline, a cross-cell property the
-    reduce computes once all cells are in.
-    """
-    from repro.experiments.context import get_context
-
-    ctx = get_context(days=days, seed=seed)
-    reps = replicate_analyses(ctx, replicates=replicates)
-    rep_seed, analysis = reps[replicate]
-    campaign = _campaign_for(analysis, rep_seed, n_faulted)
-    return _evaluate_point(analysis, campaign.scaled(severity))
-
-
-def _severity_task_id(severity: float, replicate: int) -> str:
-    if replicate:
-        return f"robustness/sev-{severity:g}-r{replicate}"
-    return f"robustness/sev-{severity:g}"
-
-
-def tasks(days: float, seed: int):
-    """One shard per (severity, replicate) cell of the default sweep."""
-    from repro.experiments.graph import Task
-
-    return [
-        Task(
-            task_id=_severity_task_id(severity, 0),
-            experiment_id="robustness",
-            fn=run_severity_cell,
-            params=(("severity", float(severity)),),
-        )
-        for severity in SEVERITIES
-    ]
-
-
-def reduce_tasks(context: ExperimentContext, shards) -> ExperimentResult:
-    """Reassemble the sweep from per-severity shards, degrading holes."""
-    reps = replicate_analyses(context, replicates=1)
-    base = _campaign_for(reps[0][1], reps[0][0], N_FAULTED)
-    points = {}
-    for si, severity in enumerate(SEVERITIES):
-        shard = shards.get(_severity_task_id(severity, 0))
-        if shard is not None:
-            points[(si, 0)] = shard
-    return _assemble_severity(
-        context, [seed for seed, _ in reps], base, SEVERITIES, points
     )
 
 
@@ -572,10 +458,7 @@ def run_count_sweep(
             "source": source_digest(),
         },
     )
-    cache = default_cache()
-    if cache.enabled:
-        cache.store(key, curve)
-        notes.append(f"count curve stored as artifact {key[:16]}...")
+    default_cache().store(key, curve)
 
     return ExperimentResult(
         experiment_id="robustness-count",

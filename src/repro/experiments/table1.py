@@ -3,31 +3,20 @@
 Occupied and unoccupied modes, first- and second-order models, trained
 and validated on the half/half day split.  Paper values (°C):
 occupied 0.68 / 0.48, unoccupied 0.37 / 0.25.
-
-The four (mode, order) identification cells are independent, so the
-experiment also exposes a task decomposition (:func:`tasks` /
-:func:`reduce_tasks`): each cell fits and free-runs on its own
-schedulable shard, and the reduce reassembles the rows in the exact
-order the monolithic :func:`run` emits them — byte-identical renders
-whenever every shard succeeded, a ``FAILED`` row (plus a note) for any
-cell whose shard did not.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.data.modes import OCCUPIED, UNOCCUPIED
 from repro.experiments.base import ExperimentResult
-from repro.experiments.context import ExperimentContext, get_context, resolve_context
+from repro.experiments.context import ExperimentContext, resolve_context
 from repro.sysid.evaluation import EvaluationOptions, fit_and_evaluate
 
 __all__ = [
     "CELLS",
     "run",
-    "run_cell",
-    "reduce_tasks",
-    "tasks",
 ]
 
 PAPER_VALUES = {
@@ -77,71 +66,19 @@ def _cell_row(
     ]
 
 
-def _result(rows: Sequence[List[Any]], extra_notes: Sequence[str]) -> ExperimentResult:
-    """Assemble the Table I result from (possibly degraded) rows."""
+def run(context: Optional[ExperimentContext] = None, ridge: float = 0.0) -> ExperimentResult:
+    """Reproduce Table I."""
+    ctx = resolve_context(context)
     return ExperimentResult(
         experiment_id="table1",
         title="RMS of prediction error at 90th percentile (degC)",
         headers=["mode", "order", "measured", "paper", "days"],
-        rows=list(rows),
+        rows=[_cell_row(ctx, mode_name, order, ridge) for mode_name, order in CELLS],
         notes=[
             "shape targets: second-order < first-order in both modes; "
             "occupied error > unoccupied error",
             f"occupied horizon {OCCUPIED_EVAL.horizon_hours} h, "
             f"unoccupied horizon {UNOCCUPIED_EVAL.horizon_hours} h "
             "(the overnight window is only 9 h long)",
-            *extra_notes,
         ],
     )
-
-
-def run(context: Optional[ExperimentContext] = None, ridge: float = 0.0) -> ExperimentResult:
-    """Reproduce Table I."""
-    ctx = resolve_context(context)
-    rows = [_cell_row(ctx, mode_name, order, ridge) for mode_name, order in CELLS]
-    return _result(rows, ())
-
-
-def run_cell(days: float, seed: int, mode_name: str, order: int) -> List[Any]:
-    """Task entry point: one identification cell's row, self-contained."""
-    ctx = get_context(days=days, seed=seed)
-    return _cell_row(ctx, mode_name, order)
-
-
-def _cell_task_id(mode_name: str, order: int) -> str:
-    return f"table1/{mode_name}-{order}"
-
-
-def tasks(days: float, seed: int):
-    """One shard per (mode, order) identification cell."""
-    from repro.experiments.graph import Task
-
-    return [
-        Task(
-            task_id=_cell_task_id(mode_name, order),
-            experiment_id="table1",
-            fn=run_cell,
-            params=(("mode_name", mode_name), ("order", order)),
-        )
-        for mode_name, order in CELLS
-    ]
-
-
-def reduce_tasks(
-    context: ExperimentContext, shards: Mapping[str, Any]
-) -> ExperimentResult:
-    """Reassemble the table from per-cell shards, degrading missing cells."""
-    rows: List[List[Any]] = []
-    extra_notes: List[str] = []
-    for mode_name, order in CELLS:
-        row = shards.get(_cell_task_id(mode_name, order))
-        if row is not None:
-            rows.append(row)
-        else:
-            rows.append(
-                [mode_name, order, "FAILED", PAPER_VALUES[(mode_name, order)], "n/a"]
-            )
-            extra_notes.append(
-                f"cell {mode_name}/order {order} failed; see the failures section"
-            )
-    return _result(rows, extra_notes)

@@ -94,6 +94,9 @@ class SimulationConfig:
     seed: int = rng_mod.DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        # ``days=98`` and ``days=98.0`` are equal configs and must share
+        # one fingerprint, hence one artifact key.
+        object.__setattr__(self, "days", float(self.days))
         if self.days <= 0:
             raise ConfigurationError("days must be positive")
         if self.dt <= 0:

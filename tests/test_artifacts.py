@@ -51,6 +51,13 @@ class TestFingerprint:
         )
         assert fingerprint(drafty) != base
 
+    def test_integer_and_float_days_share_one_key(self):
+        as_int = SynthConfig(simulation=SimulationConfig(days=98))
+        as_float = SynthConfig(simulation=SimulationConfig(days=98.0))
+        assert as_int == as_float
+        assert as_int.artifact_key() == as_float.artifact_key()
+        assert isinstance(as_int.simulation.days, float)
+
     def test_canonicalizes_containers(self):
         assert fingerprint({"b": 2, "a": 1}) == fingerprint({"a": 1, "b": 2})
         assert fingerprint([1, 2.5, "x"]) == fingerprint((1, 2.5, "x"))

@@ -11,6 +11,10 @@ import pytest
 
 from repro.errors import DataError, ExperimentError
 from repro.experiments import EXPERIMENTS
+from repro.experiments import ext_fleet as ext_fleet_mod
+from repro.experiments import fig2 as fig2_mod
+from repro.experiments import robustness as robustness_mod
+from repro.experiments import table1 as table1_mod
 from repro.experiments import context as context_mod
 from repro.experiments import graph as graph_mod
 from repro.experiments import runner as runner_mod
@@ -183,21 +187,32 @@ class TestFailureIsolation:
         assert "injected deterministic failure" in failure.message
         assert "fig3" in report.render_failures()
 
-    def test_parallel_failure_leaves_others_byte_identical(self, monkeypatch):
-        ids = ["table1", "fig2", "fig3"]
-        serial = dict(run_experiments_detailed(ids, days=7.0).results)
+    @pytest.mark.parametrize(
+        "poisoned, module, target",
+        [
+            ("fig2", fig2_mod, "run"),
+            # One raising identification cell fails the whole table.
+            ("table1", table1_mod, "_cell_row"),
+            ("robustness", robustness_mod, "_evaluate_point"),
+            ("ext-fleet", ext_fleet_mod, "_building_row"),
+        ],
+        ids=["fig2", "table1", "robustness", "ext-fleet"],
+    )
+    def test_parallel_failure_leaves_others_byte_identical(
+        self, poisoned, module, target, monkeypatch
+    ):
+        others = [i for i in ("table1", "fig3") if i != poisoned]
+        serial = dict(run_experiments_detailed(others, days=7.0).results)
 
-        def _boom(context=None):
+        def _boom(*args, **kwargs):
             raise DataError("injected")
 
         monkeypatch.setenv("REPRO_CACHE_DIR", os.environ["REPRO_CACHE_DIR"] + "-b")
-        monkeypatch.setattr(EXPERIMENTS["fig2"], "run", _boom)
-        report = run_experiments_detailed(ids, days=7.0, jobs=4)
-        assert [f.experiment_id for f in report.failures] == ["fig2"]
-        survived = dict(report.results)
-        assert set(survived) == {"table1", "fig3"}
-        for experiment_id, text in survived.items():
-            assert text == serial[experiment_id]
+        monkeypatch.setattr(module, target, _boom)
+        report = run_experiments_detailed([poisoned, *others], days=7.0, jobs=4)
+        (failure,) = report.failures
+        assert failure.describe() == f"{poisoned}: DataError: injected"
+        assert dict(report.results) == serial
 
     def test_worker_crash_downgraded_and_recorded(self, tmp_path, monkeypatch):
         def _die(context=None):
@@ -401,7 +416,7 @@ class FakeChild:
     ``crash`` (dies without a word) or ``hang``, after a duration."""
 
     def __init__(self, fork, args):
-        _, self.heartbeat, (_, self.task_id, _, _, writer) = args
+        _, self.heartbeat, (self.task_id, _, _, writer) = args
         self.fork, self.reader = fork, writer.reader
         self.exitcode = None
         self.sentinel = object()
