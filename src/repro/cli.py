@@ -985,7 +985,7 @@ def _serve_tcp(args) -> int:
 
     try:
         summary = asyncio.run(_run())
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:  # OSError: the port cannot be bound
         print(str(exc), file=sys.stderr)
         return 2
     print(

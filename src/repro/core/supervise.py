@@ -1,21 +1,22 @@
 """One supervision core: child slots, liveness and the restart policy.
 
-The serving pool and the sharded ingest both run children that must come
-back when they crash or hang; :class:`Pool` alone decides when, and the
-callers map :meth:`Pool.check` events onto their protocol.  It never reads
-a clock (every decision takes ``now``) and its process context can be a
-fake.  Children ignore SIGINT/SIGTERM (:func:`_child`): the parent owns
-signals and drains them, so a terminal ^C never kills one.
+The serving pool, the sharded ingest and the experiment runner run
+children that must come back when they crash or hang; :class:`Pool` alone
+decides when, and when it next must decide (:meth:`Pool.wake_after`).  It
+never reads a clock (every decision takes ``now``) and its process context
+can be a fake.  Children ignore SIGINT/SIGTERM (:func:`_child`): the parent
+owns signals and drains them, so a terminal ^C never kills one.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -132,6 +133,18 @@ class Pool:
             events.append((slot, cause))
         return events
 
+    def wake_after(self, now: float, slots: Optional[Iterable[Slot]] = None) -> Optional[float]:
+        """Seconds until :meth:`check` decides on ``slots`` (default: all), or ``None``."""
+        due = [
+            slot.respawn_at if slot.state == RESTARTING
+            else slot.heartbeat.value + self.policy.liveness_deadline_s if slot.dead_since is None
+            else slot.dead_since + EXIT_GRACE_S
+            for slot in (self.slots if slots is None else slots)
+            if slot.state not in (FAILED, STOPPED)
+        ]
+        soonest = min(due, default=math.inf)
+        return None if math.isinf(soonest) else max(0.0, soonest - now)
+
     def close(self, timeout_s: float) -> None:
         """Stop respawning; join every child, killing any still alive."""
         self.stop()
@@ -152,9 +165,9 @@ def _child(target: Callable[..., None], heartbeat: Any, args: tuple) -> None:
 
 
 def die(result_queue: Any) -> None:
-    """Chaos: SIGKILL this child once its queued messages are flushed, so it
-    never dies holding the shared queue's write lock (which no sibling's
-    message would get past again)."""
+    """Chaos for ingest shards: SIGKILL this child once its queued messages
+    are flushed, so it never dies holding the shared queue's write lock
+    (which no sibling's message would get past again)."""
     result_queue.close()
     result_queue.join_thread()
     os.kill(os.getpid(), signal.SIGKILL)

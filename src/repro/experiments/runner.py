@@ -68,12 +68,11 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import rng as rng_mod
 from repro.core.artifacts import artifact_key, default_cache, fingerprint, source_digest
 from repro.core.supervise import (
-    EXIT_GRACE_S,
     LIVE,
     RESTARTING,
     STOPPED,
@@ -338,18 +337,6 @@ def _death_error(task: Task, slot: Slot, policy: RestartPolicy, now: float) -> T
     )
 
 
-def _wake_after(slots: Iterable[Slot], policy: RestartPolicy, now: float) -> Optional[float]:
-    """Seconds until ``Pool.check`` has a timed decision due (``None``: none)."""
-    due = [
-        slot.respawn_at if slot.state == RESTARTING
-        else slot.heartbeat.value + policy.liveness_deadline_s if slot.dead_since is None
-        else slot.dead_since + EXIT_GRACE_S
-        for slot in slots
-    ]
-    soonest = min(due, default=math.inf)
-    return None if math.isinf(soonest) else max(0.0, soonest - now)
-
-
 def _run_wave_serial(
     wave: Sequence[Task],
     days: float,
@@ -439,7 +426,7 @@ def _run_wave_forked(
                 for slot in running.values()
                 if slot.state == LIVE and slot.dead_since is None
             ]
-            wait(wakers, _wake_after(running.values(), policy, now))
+            wait(wakers, pool.wake_after(now, running.values()))
             # Every readable pipe first, so a child that reported and
             # exited is never judged a crash.
             for sid in [sid for sid, reader in readers.items() if reader.poll()]:
@@ -534,26 +521,26 @@ def run_experiments_detailed(
                     ordered, days, seed, n_jobs, policy, values, task_seconds, failures
                 )
 
-        # A cold trace on a multi-core run is generated by the graph's
-        # context task in a first wave, beside the context-free tasks.
-        # Otherwise the parent warms it inline before any task runs.
-        if n_jobs > 1 and _trace_is_cold(days, seed):
-            run_wave([task for task in graph if not task.deps])
-        # Load the forked task's artifact into the parent before the
-        # next wave forks, or regenerate inline after it failed
+        # Only if some pending task reads the shared trace: a cold trace
+        # on a multi-core run is generated by the graph's context task in
+        # a first wave, beside the context-free tasks.  The parent then
+        # loads it before the next wave forks, or regenerates it inline
         # (resuming from any sealed chunks).  If even that fails, every
-        # experiment that needs the context fails for that one reason:
-        # recorded, not raised.
-        failures.pop(CONTEXT_TASK_ID, None)
-        try:
-            start_s = time.perf_counter()
-            get_context(days=days, seed=seed)
-            task_seconds.setdefault(CONTEXT_TASK_ID, time.perf_counter() - start_s)
-        except Exception as exc:  # noqa: BLE001 - one record per casualty
-            error = (type(exc).__name__, f"shared trace generation failed: {exc}")
-            for task in graph:
-                if task.deps:
-                    failures[task.task_id] = _failure(task, error, attempts=1)
+        # experiment that needs it fails for that one reason: recorded,
+        # not raised.
+        if any(task.deps for task in graph):
+            if n_jobs > 1 and _trace_is_cold(days, seed):
+                run_wave([task for task in graph if not task.deps])
+            failures.pop(CONTEXT_TASK_ID, None)
+            try:
+                start_s = time.perf_counter()
+                get_context(days=days, seed=seed)
+                task_seconds.setdefault(CONTEXT_TASK_ID, time.perf_counter() - start_s)
+            except Exception as exc:  # noqa: BLE001 - one record per casualty
+                error = (type(exc).__name__, f"shared trace generation failed: {exc}")
+                for task in graph:
+                    if task.deps:
+                        failures[task.task_id] = _failure(task, error, attempts=1)
         run_wave(
             [
                 task

@@ -21,8 +21,8 @@ stream:
 * :mod:`repro.streaming.state` — snapshot/restore of a live pipeline
   through the artifact cache.
 * :mod:`repro.streaming.supervisor` — a supervised multi-process worker
-  pool (request routing, timeout retry on a different worker, explicit
-  load-shedding) on the supervision core :mod:`repro.core.supervise`.
+  pool on the server's event loop (request routing, timeout retry on a
+  different worker, explicit load-shedding) on :mod:`repro.core.supervise`.
 * :mod:`repro.streaming.server` — the asyncio JSON-lines TCP front end
   over that pool (``repro serve --workers N --port P``).
 * :mod:`repro.streaming.shutdown` — cooperative SIGINT/SIGTERM handling
@@ -79,7 +79,7 @@ from repro.streaming.service import (
     ServiceStats,
     build_request,
 )
-from repro.streaming.server import PredictionServer, ServerConfig, ServerStats, run_server
+from repro.streaming.server import PredictionServer, ServerConfig, ServerStats
 from repro.streaming.shards import (
     IngestReport,
     ShardRunnerOptions,
@@ -138,5 +138,4 @@ __all__ = [
     "ServerConfig",
     "ServerStats",
     "PredictionServer",
-    "run_server",
 ]

@@ -5,7 +5,9 @@
 schema of the stdin service (one JSON object per line in, one per line
 out, matched by ``id``), backed by a :class:`~repro.streaming.
 supervisor.Supervisor` whose workers all answer from the same sealed
-pipeline snapshot.
+pipeline snapshot.  The pool runs on this server's own event loop: one
+thread serves the sockets, routes the requests and supervises the
+workers.
 
 Per connection, requests are submitted to the pool the moment their
 line arrives (so the pool batches across connections and a slow request
@@ -34,6 +36,7 @@ harness.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import signal
 from dataclasses import dataclass, field
@@ -46,8 +49,10 @@ __all__ = [
     "ServerConfig",
     "ServerStats",
     "PredictionServer",
-    "run_server",
 ]
+
+#: Socket errors a connection's teardown swallows.
+_TEARDOWN_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,6 @@ class PredictionServer:
         self.supervisor = supervisor or Supervisor(self.config.pool)
         self.stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
         self._shutdown_event = asyncio.Event()
         self._shutdown_reason: Optional[str] = None
@@ -111,13 +115,14 @@ class PredictionServer:
 
     async def start(self) -> int:
         """Start workers and socket; returns the bound port."""
-        loop = asyncio.get_running_loop()
-        # The pool boots in a thread: Supervisor.start blocks on worker
-        # readiness and must not stall the event loop.
-        await loop.run_in_executor(None, self.supervisor.start)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
+        await self.supervisor.start()
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, host=self.config.host, port=self.config.port
+            )
+        except OSError:  # the workers ignore signals: they must not outlive this
+            await self.supervisor.drain(timeout_s=2.0)
+            raise
         self.port = int(self._server.sockets[0].getsockname()[1])
         return self.port
 
@@ -166,10 +171,7 @@ class PredictionServer:
             await asyncio.wait(
                 self._conn_tasks, timeout=self.config.drain_timeout_s
             )
-        loop = asyncio.get_running_loop()
-        drain_clean = await loop.run_in_executor(
-            None, lambda: self.supervisor.drain(self.config.drain_timeout_s)
-        )
+        drain_clean = await self.supervisor.drain(self.config.drain_timeout_s)
         if self.config.final_snapshot and self.supervisor.pipeline is not None:
             self.final_snapshot_key = save_snapshot(
                 self.config.final_snapshot, self.supervisor.pipeline
@@ -193,7 +195,6 @@ class PredictionServer:
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
-        self._connections.add(writer)
         self.stats.connections += 1
         # Responses are queued (as awaitables or ready dicts) in arrival
         # order and written by one writer task, so output order matches
@@ -214,7 +215,7 @@ class PredictionServer:
                     # Drain started mid-read: stop accepting new lines;
                     # everything already in the outbox still flushes.
                     read_task.cancel()
-                    with _suppress_connection_errors():
+                    with contextlib.suppress(*_TEARDOWN_ERRORS):
                         await asyncio.gather(read_task, return_exceptions=True)
                     break
                 raw = read_task.result()
@@ -229,10 +230,9 @@ class PredictionServer:
             pass
         finally:
             await outbox.put(None)
-            with _suppress_connection_errors():
+            with contextlib.suppress(*_TEARDOWN_ERRORS):
                 await writer_task
-            self._connections.discard(writer)
-            with _suppress_connection_errors():
+            with contextlib.suppress(*_TEARDOWN_ERRORS):
                 writer.close()
                 await writer.wait_closed()
 
@@ -251,12 +251,11 @@ class PredictionServer:
         if "control" in payload:
             return self._handle_control(payload)
         try:
-            future = self.supervisor.submit(payload)
+            return self.supervisor.submit(payload)
         except ServiceOverloadError:
             return {"id": payload.get("id"), "error": "overloaded"}
         except ServingError as exc:
             return {"id": payload.get("id"), "error": str(exc)}
-        return asyncio.wrap_future(future)
 
     def _handle_control(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Answer one ``{"control": ...}`` command."""
@@ -304,49 +303,8 @@ class PredictionServer:
                     )
                 except asyncio.TimeoutError:
                     response = {"error": "server timeout"}
-                except asyncio.CancelledError:
-                    raise
             try:
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 return
-
-
-class _suppress_connection_errors:
-    """Context manager swallowing teardown-time socket errors."""
-
-    def __enter__(self) -> None:
-        """Nothing to set up."""
-        return None
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        """Swallow connection-reset style errors, propagate the rest."""
-        return exc_type is not None and issubclass(
-            exc_type, (ConnectionError, OSError, asyncio.TimeoutError)
-        )
-
-    async def __aenter__(self) -> None:
-        """Async form of ``__enter__``."""
-        return None
-
-    async def __aexit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        """Async form of ``__exit__``."""
-        return self.__exit__(exc_type, exc, tb)
-
-
-async def _serve(config: ServerConfig) -> Dict[str, Any]:
-    server = PredictionServer(config)
-    port = await server.start()
-    summary = await server.serve_until_shutdown()
-    summary["port"] = port
-    return summary
-
-
-def run_server(config: Optional[ServerConfig] = None) -> Dict[str, Any]:
-    """Blocking entry point: boot, serve until signalled, drain, report.
-
-    Returns the final stats summary (counters, worker states, shutdown
-    reason, final snapshot key) for the CLI to print.
-    """
-    return asyncio.run(_serve(config or ServerConfig()))

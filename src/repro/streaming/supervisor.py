@@ -1,11 +1,12 @@
-"""Supervised prediction-worker pool: processes, heartbeats, respawns.
+"""Supervised prediction-worker pool, run on the server's event loop.
 
 The robustness core of the multi-worker server
 (:mod:`repro.streaming.server`).  A :class:`Supervisor` owns N worker
 processes that each restore a :class:`~repro.streaming.service.
 PredictionService` from one shared, named pipeline snapshot in the
-artifact cache, and routes request payloads to them over bounded
-per-worker queues.  Everything that can go wrong is handled explicitly:
+artifact cache, and routes request payloads to them over each worker's
+own pipes, on the server's asyncio loop: no thread, no lock, no polling.
+Everything that can go wrong is handled explicitly:
 
 * **Crash and hang detection** — worker slots, heartbeats, the
   liveness deadline and the respawn backoff and budget belong to the
@@ -19,8 +20,8 @@ per-worker queues.  Everything that can go wrong is handled explicitly:
 * **Per-request timeout** — a request that misses its deadline is
   retried once on a *different* worker; a second miss resolves it with
   a structured ``deadline`` error, never a silent hang.
-* **Backpressure** — per-worker queues are bounded; when every live
-  worker is full, :meth:`Supervisor.submit` raises the typed
+* **Backpressure** — a worker holds at most ``max_queue`` requests; when
+  every live worker is full, :meth:`Supervisor.submit` raises the typed
   :class:`~repro.errors.ServiceOverloadError` and counts the shed.
 
 Every worker answers from the same frozen model snapshot, so any two
@@ -31,13 +32,16 @@ cannot tell which worker answered.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
-import queue as queue_mod
-import threading
+import math
+import os
+import pickle
+import signal
+import struct
 import time
-from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.supervise import (
     DYING,
@@ -49,7 +53,6 @@ from repro.core.supervise import (
     Pool,
     RestartPolicy,
     Slot,
-    die,
 )
 from repro.errors import ReproError, ServiceOverloadError, ServingError, SnapshotError
 
@@ -59,6 +62,11 @@ __all__ = [
     "Supervisor",
     "worker_main",
 ]
+
+#: ``multiprocessing.connection.Connection``'s length prefix, so a worker
+#: reads the parent's frames with ``recv()``.
+_HEADER = struct.Struct("!i")
+
 
 @dataclass(frozen=True)
 class WorkerPoolConfig:
@@ -74,9 +82,8 @@ class WorkerPoolConfig:
     max_batch: int = 8
     #: Longest accepted prediction horizon, ticks.
     max_horizon_ticks: int = 672
-    #: Worker loop poll period — also the heartbeat refresh cadence.
-    poll_interval_s: float = 0.05
-    #: Heartbeat older than this marks the worker hung.
+    #: Heartbeat older than this marks the worker hung; an idle worker
+    #: refreshes its heartbeat four times per deadline.
     liveness_deadline_s: float = 3.0
     #: Per-request deadline before the retry/miss machinery engages.
     request_timeout_s: float = 5.0
@@ -127,14 +134,14 @@ class PoolStats:
 def worker_main(
     worker_id: int,
     snapshot_name: str,
-    request_queue: Any,
-    response_queue: Any,
+    requests: Any,
+    responses: Any,
     heartbeat: Any,
     config: WorkerPoolConfig,
 ) -> None:
     """One worker process: restore the snapshot, answer until told to stop.
 
-    Protocol (over the two queues):
+    Protocol (over the incarnation's own two pipes):
 
     * in  — ``("req", seq, payload)``, ``("hang", seconds)`` and
       ``("die",)`` (chaos hooks), ``("stop",)``;
@@ -144,7 +151,8 @@ def worker_main(
 
     The worker is deliberately boring: all retry/respawn intelligence
     lives in the supervisor, so a worker can die at *any* line of this
-    function without losing an accepted request.
+    function without losing an accepted request.  It exits when the
+    parent's end of its request pipe closes.
     """
     # Imports happen here (not at module top) so a spawned worker pays
     # them once, and so the module stays importable without a model.
@@ -154,7 +162,7 @@ def worker_main(
     try:
         pipeline = load_snapshot(snapshot_name, required=True)
     except SnapshotError as exc:
-        response_queue.put(("fatal", worker_id, str(exc)))
+        responses.send(("fatal", worker_id, str(exc)))
         return
     service = PredictionService(
         pipeline,
@@ -168,37 +176,35 @@ def worker_main(
     # A worker only answers, so its buffered state never changes.
     buffered_history = pipeline.estimator.history() is not None
     heartbeat.value = time.monotonic()
-    response_queue.put(("ready", worker_id))
+    responses.send(("ready", worker_id))
 
     stopping = False
     while not stopping:
         heartbeat.value = time.monotonic()
         try:
-            message = request_queue.get(timeout=config.poll_interval_s)
-        except queue_mod.Empty:
-            continue
-        # Micro-batch: greedily gather whatever else is already queued.
-        batch = [message]
-        while len(batch) < config.max_batch:
-            try:
-                batch.append(request_queue.get_nowait())
-            except queue_mod.Empty:
-                break
-        requests: List[tuple] = []
+            if not requests.poll(config.liveness_deadline_s / 4):  # beat 4x a deadline
+                continue
+            # Micro-batch: greedily gather whatever else is already sent.
+            batch = [requests.recv()]
+            while len(batch) < config.max_batch and requests.poll():
+                batch.append(requests.recv())
+        except EOFError:
+            return  # the parent closed its end: nobody is left to answer
+        pending: List[tuple] = []
         for item in batch:
             kind = item[0]
             if kind == "die":
-                # Chaos: flush what was answered, then SIGKILL; the rest
-                # of this batch is re-dispatched by the supervisor.
-                die(response_queue)
+                # Chaos: what it answered is in its own pipe already; the
+                # supervisor re-dispatches the rest of this batch.
+                os.kill(os.getpid(), signal.SIGKILL)
             elif kind == "stop":
                 stopping = True
             elif kind == "hang":
                 time.sleep(float(item[1]))  # chaos: stall the heartbeat
             elif kind == "req":
-                requests.append(item)
+                pending.append(item)
         seqs: List[int] = []
-        for _, seq, payload in requests:
+        for _, seq, payload in pending:
             try:
                 request = build_request(
                     payload,
@@ -210,17 +216,56 @@ def worker_main(
                 service.submit(request)
                 seqs.append(seq)
             except (ReproError, ValueError, TypeError) as exc:
-                response_queue.put(("err", seq, worker_id, str(exc)))
-        answered = 0
-        while answered < len(seqs):
-            responses = service.drain()
-            if not responses:
-                break
-            for response in responses:
-                seq = seqs[answered]
-                answered += 1
-                response_queue.put(("ok", seq, worker_id, response.to_payload()))
-    response_queue.put(("bye", worker_id, service.stats.as_dict()))
+                responses.send(("err", seq, worker_id, str(exc)))
+        # The batch holds at most max_batch requests: one drain answers all.
+        for seq, response in zip(seqs, service.drain()):
+            responses.send(("ok", seq, worker_id, response.to_payload()))
+    responses.send(("bye", worker_id, service.stats.as_dict()))
+
+
+class _Link:
+    """The parent's ends of one worker incarnation's two pipes.
+
+    A request is framed as ``Connection.send`` frames it and written
+    without blocking (a blocking write could deadlock with a worker that
+    is blocked writing answers): what the pipe does not take waits in
+    ``outbox`` until the loop finds it writable.  A response is read
+    whole once its first bytes are in, as the worker writes it at once.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, ctx: Any) -> None:
+        worker_requests, self.requests = ctx.Pipe(duplex=False)
+        self.responses, worker_responses = ctx.Pipe(duplex=False)
+        #: The worker's ends; the parent closes its copies once it started.
+        self.child_ends = (worker_requests, worker_responses)
+        self.loop, self.outbox = loop, bytearray()
+        os.set_blocking(self.requests.fileno(), False)
+
+    def send(self, message: tuple) -> None:
+        if not self.requests.closed:
+            body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            self.outbox += _HEADER.pack(len(body)) + body
+            self._flush()
+
+    def _flush(self) -> None:
+        fd = self.requests.fileno()
+        try:
+            del self.outbox[: os.write(fd, self.outbox)]
+        except BlockingIOError:
+            pass
+        except OSError:  # the worker is gone; its sentinel reports that
+            self.outbox.clear()
+        if self.outbox:
+            self.loop.add_writer(fd, self._flush)
+        else:
+            self.loop.remove_writer(fd)
+
+    def close(self) -> None:
+        if not self.requests.closed:
+            self.loop.remove_writer(self.requests.fileno())
+            self.loop.remove_reader(self.responses.fileno())
+            for conn in (self.requests, self.responses, *self.child_ends):
+                conn.close()
 
 
 @dataclass
@@ -229,22 +274,20 @@ class _Inflight:
 
     seq: int
     payload: Dict[str, Any]
-    future: "Future[Dict[str, Any]]"
-    worker_id: int
+    future: "asyncio.Future[Dict[str, Any]]"
+    worker_id: int = -1
     #: Dispatch count (1 = first attempt).
-    attempts: int
-    deadline: float
+    attempts: int = 0
+    deadline: float = 0.0
     #: Whether a deadline-driven retry already happened.
     retried_on_timeout: bool = False
 
 
 class Supervisor:
-    """Owns the worker pool; thread-safe; usable with or without asyncio.
+    """Owns the worker pool; every method runs on one asyncio loop.
 
-    :meth:`submit` returns a :class:`concurrent.futures.Future` that
-    resolves to a JSON-serializable response payload — the asyncio
-    front end wraps it with :func:`asyncio.wrap_future`, tests simply
-    call ``future.result()``.
+    :meth:`submit` returns an :class:`asyncio.Future` that resolves to a
+    JSON-serializable response payload.
     """
 
     def __init__(self, config: Optional[WorkerPoolConfig] = None) -> None:
@@ -254,129 +297,176 @@ class Supervisor:
         n = self.config.n_workers
         self._pool = Pool(n, self.config.policy(), worker_main, self._worker_args)
         self._slots = self._pool.slots
-        self._response_queue: Optional[Any] = None
-        #: Per worker: its current incarnation's request queue, the seqs
+        #: Per worker: its current incarnation's pipes, the seqs
         #: dispatched to it, the sheds it contributed to (its queue was
         #: full when a submit was refused) and its final ServiceStats.
-        self._queues: List[Any] = [None] * n
+        self._links: List[Optional[_Link]] = [None] * n
         self._held: List[set] = [set() for _ in range(n)]
         self._shed = [0] * n
         self._final_stats: Dict[int, Dict[str, Any]] = {}
         self._inflight: Dict[int, _Inflight] = {}
         #: Requests waiting for *any* worker to come back.
         self._parked: List[_Inflight] = []
-        self._lock = threading.Lock()
         self._seqs = itertools.count(1)
         self._route = itertools.count(0)
-        self._stop_event = threading.Event()
         self._accepting = False
         self._fatal: Optional[str] = None
-        self._collector: Optional[threading.Thread] = None
-        self._monitor: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The one timer, and the moment it is set for.
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._due = math.inf
+        #: Resolved after the next loop event, for :meth:`_until`.
+        self._waiter: Optional[asyncio.Future] = None
         self.pipeline = None  # the supervisor's own restored copy
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
+    async def start(self) -> None:
         """Restore the snapshot, spawn the workers, wait until live."""
         from repro.streaming.state import load_snapshot
 
+        self._loop = asyncio.get_running_loop()
         # The supervisor restores its own copy first: it validates the
         # snapshot before any worker boots, and it is what the server
         # writes back as the final snapshot on graceful drain.
         self.pipeline = load_snapshot(self.config.snapshot_name, required=True)
-        self._response_queue = self._pool.ctx.Queue()
         now = time.monotonic()
         for slot in self._slots:
             self._pool.spawn(slot, now)
+            self._started(slot)
         self._accepting = True
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-serve-collector", daemon=True
+        self._arm(now)
+        up = await self._until(
+            lambda: self._fatal is not None or all(slot.state == LIVE for slot in self._slots),
+            self.config.start_timeout_s,
         )
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-serve-monitor", daemon=True
-        )
-        self._collector.start()
-        self._monitor.start()
-        deadline = time.monotonic() + self.config.start_timeout_s
-        while time.monotonic() < deadline:
-            if self._fatal is not None:
-                self.shutdown(timeout_s=2.0)
-                raise ServingError(f"worker pool failed to start: {self._fatal}")
-            with self._lock:
-                if all(slot.state == LIVE for slot in self._slots):
-                    return
-            time.sleep(0.01)
-        self.shutdown(timeout_s=2.0)
-        raise ServingError(
-            f"worker pool did not come up within {self.config.start_timeout_s:g}s"
-        )
+        if self._fatal is not None or not up:
+            await self.drain(timeout_s=2.0)
+            raise ServingError(
+                f"worker pool failed to start: {self._fatal}" if up
+                else f"worker pool did not come up within {self.config.start_timeout_s:g}s"
+            )
 
     def _worker_args(self, slot: Slot) -> tuple:
-        """Arguments of one worker incarnation; each gets a fresh queue."""
-        queue = self._queues[slot.sid] = self._pool.ctx.Queue()
-        config = self.config
-        return (slot.sid, config.snapshot_name, queue, self._response_queue, slot.heartbeat, config)
+        """Arguments of one worker incarnation; each gets its own pipes."""
+        link = self._links[slot.sid] = _Link(self._loop, self._pool.ctx)
+        name = self.config.snapshot_name
+        return (slot.sid, name, *link.child_ends, slot.heartbeat, self.config)
+
+    def _started(self, slot: Slot) -> None:
+        """Put a just-spawned incarnation on the loop.  The parent drops its
+        copies of the child's pipe ends, so the child's death reads as EOF."""
+        link = self._links[slot.sid]
+        for conn in link.child_ends:
+            conn.close()
+        self._loop.add_reader(link.responses.fileno(), self._on_readable, link)
+        self._loop.add_reader(slot.process.sentinel, self._on_exit, slot.process, link)
+
+    # -- loop edges: the only places that read the clock -------------------
+
+    def _on_readable(self, link: _Link) -> None:
+        now = time.monotonic()
+        try:
+            while link.responses.poll():
+                self._on_message(link.responses.recv(), now)
+        except (EOFError, OSError):  # the worker is gone
+            self._loop.remove_reader(link.responses.fileno())
+        self._wake()
+
+    def _on_exit(self, process: Any, link: _Link) -> None:
+        """A worker process ended: read its last words, reap it, judge it."""
+        self._loop.remove_reader(process.sentinel)
+        self._on_readable(link)
+        process.join()  # its sentinel is ready, so this returns at once
+        self._tick()
+        link.close()
+
+    def _tick(self) -> None:
+        """The timer: liveness and respawns, request deadlines, unparking."""
+        now = time.monotonic()
+        for slot, event in self._pool.check(now):
+            if event == "respawned":
+                self.stats.restarts += 1
+                self._started(slot)
+            else:
+                self._orphan(slot, event, now)
+        self._check_deadlines(now)
+        self._unpark(now)
+        self._arm(now)
+        self._wake()
+
+    def _arm(self, now: float, due: Optional[float] = None) -> None:
+        """Set the one timer for ``due``, by default the next request
+        deadline or slot decision."""
+        if due is None:
+            wake = self._pool.wake_after(now)
+            due = min([entry.deadline for entry in self._inflight.values()]
+                      + ([] if wake is None else [now + wake]), default=math.inf)
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer, self._due = None, due
+        if due < math.inf:
+            self._timer = self._loop.call_later(max(0.0, due - now), self._tick)
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def _until(self, done: Callable[[], bool], timeout_s: float) -> bool:
+        """Whether ``done()`` holds within ``timeout_s``, judged after each loop event."""
+        deadline = self._loop.time() + timeout_s
+        while not done():
+            left = deadline - self._loop.time()
+            if left <= 0:
+                return False
+            self._waiter = self._loop.create_future()
+            await asyncio.wait((self._waiter,), timeout=left)
+        return True
 
     # -- submission --------------------------------------------------------
 
     @property
     def n_live(self) -> int:
         """Workers currently accepting requests."""
-        with self._lock:
-            return sum(1 for slot in self._slots if slot.state == LIVE)
+        return sum(1 for slot in self._slots if slot.state == LIVE)
 
     def worker_states(self) -> Dict[int, str]:
         """Worker id → lifecycle state (for the stats command)."""
-        with self._lock:
-            return {slot.sid: slot.state for slot in self._slots}
+        return {slot.sid: slot.state for slot in self._slots}
 
-    def submit(self, payload: Dict[str, Any]) -> "Future[Dict[str, Any]]":
+    def submit(self, payload: Dict[str, Any]) -> "asyncio.Future[Dict[str, Any]]":
         """Accept one request payload; resolves to a response payload.
 
         Raises :class:`ServiceOverloadError` when every live worker's
-        bounded queue is full (the caller sheds), and
-        :class:`ServingError` when the pool has no workers left at all.
+        queue is full (the caller sheds), and :class:`ServingError` when
+        the pool is draining or has no workers left at all.
         """
         if not self._accepting:
             raise ServingError("the worker pool is draining")
-        future: "Future[Dict[str, Any]]" = Future()
-        with self._lock:
-            if all(slot.state == FAILED for slot in self._slots):
-                raise ServingError("every worker has permanently failed")
-            seq = next(self._seqs)
-            entry = _Inflight(
-                seq=seq,
-                payload=payload,
-                future=future,
-                worker_id=-1,
-                attempts=0,
-                deadline=0.0,
-            )
-            slot = self._pick_slot(exclude=None)
-            if slot is None:
-                if any(slot_.state in (DYING, RESTARTING) for slot_ in self._slots) and not any(
-                    slot_.state == LIVE for slot_ in self._slots
-                ):
-                    # Nobody live right now but somebody is coming back:
-                    # park rather than shed, so a mid-restart burst is
-                    # not lost.  Parking is bounded by the pool's total
-                    # queue budget.
-                    if len(self._parked) < self.config.n_workers * self.config.max_queue:
-                        self._parked.append(entry)
-                        return future
-                self.stats.shed += 1
-                for slot_ in self._slots:
-                    if slot_.state == LIVE:
-                        self._shed[slot_.sid] += 1
-                raise ServiceOverloadError(
-                    "every live worker's request queue is full"
-                )
-            self._dispatch(entry, slot)
-        return future
+        if all(slot.state == FAILED for slot in self._slots):
+            raise ServingError("every worker has permanently failed")
+        entry = _Inflight(next(self._seqs), payload, self._loop.create_future())
+        slot = self._pick_slot(exclude=None)
+        if slot is not None:
+            self._dispatch(entry, slot, time.monotonic())
+            return entry.future
+        if any(slot_.state in (DYING, RESTARTING) for slot_ in self._slots) and not any(
+            slot_.state == LIVE for slot_ in self._slots
+        ):
+            # Nobody live right now but somebody is coming back: park
+            # rather than shed, so a mid-restart burst is not lost.
+            # Parking is bounded by the pool's total queue budget.
+            if len(self._parked) < self.config.n_workers * self.config.max_queue:
+                self._parked.append(entry)
+                return entry.future
+        self.stats.shed += 1
+        for slot_ in self._slots:
+            if slot_.state == LIVE:
+                self._shed[slot_.sid] += 1
+        raise ServiceOverloadError("every live worker's request queue is full")
 
     def _pick_slot(self, exclude: Optional[int]) -> Optional[Slot]:
-        """Round-robin over live workers with queue headroom (lock held)."""
+        """Round-robin over live workers with queue headroom."""
         candidates = [
             slot
             for slot in self._slots
@@ -392,26 +482,25 @@ class Supervisor:
         turn = next(self._route)
         return candidates[turn % len(candidates)]
 
-    def _dispatch(self, entry: _Inflight, slot: Slot) -> None:
-        """Hand one inflight entry to a slot (lock held)."""
+    def _dispatch(self, entry: _Inflight, slot: Slot, now: float) -> None:
+        """Hand one inflight entry to a slot."""
         entry.worker_id = slot.sid
         entry.attempts += 1
-        entry.deadline = time.monotonic() + self.config.request_timeout_s
+        entry.deadline = now + self.config.request_timeout_s
         self._inflight[entry.seq] = entry
         self._held[slot.sid].add(entry.seq)
-        self._queues[slot.sid].put(("req", entry.seq, entry.payload))
+        self._links[slot.sid].send(("req", entry.seq, entry.payload))
+        if entry.deadline < self._due:
+            self._arm(now, entry.deadline)
 
     # -- chaos hooks -------------------------------------------------------
 
     def kill_worker(self, worker_id: Optional[int] = None) -> Optional[int]:
         """Make one live worker SIGKILL itself (fault injection); its id.
 
-        The worker dies when it reads the message, after flushing the
-        answers it already sent, so it never dies holding the shared
-        response queue's write lock; its unanswered requests are
-        re-dispatched like any crash's.  From now on it is DYING: no
-        request is routed to it, and it reads live again only once its
-        respawn is ready.
+        It dies when it reads the message, and its unanswered requests are
+        re-dispatched like any crash's.  It reads DYING until its respawn
+        is ready: no request is routed to it.
         """
         return self._inject(("die",), worker_id, DYING)
 
@@ -420,217 +509,164 @@ class Supervisor:
         return self._inject(("hang", float(seconds_s)), worker_id, LIVE)
 
     def _inject(self, message: tuple, worker_id: Optional[int], state: str) -> Optional[int]:
-        """Queue a chaos message for one live worker, set its state; its id."""
-        with self._lock:
-            live = [slot for slot in self._slots if slot.state == LIVE]
-            if not live:
-                return None
-            if worker_id is not None:
-                live = [slot for slot in live if slot.sid == worker_id] or live
-            target = live[next(self._route) % len(live)]
-            self._queues[target.sid].put(message)
-            target.state = state
+        """Send a chaos message to one live worker, set its state; its id."""
+        live = [slot for slot in self._slots if slot.state == LIVE]
+        if not live:
+            return None
+        if worker_id is not None:
+            live = [slot for slot in live if slot.sid == worker_id] or live
+        target = live[next(self._route) % len(live)]
+        self._links[target.sid].send(message)
+        target.state = state
         return target.sid
 
-    # -- background threads ------------------------------------------------
+    # -- routing on events -------------------------------------------------
 
-    def _collect_loop(self) -> None:
-        """Drain worker responses; resolve futures first-answer-wins."""
-        while not self._stop_event.is_set():
-            try:
-                message = self._response_queue.get(timeout=0.05)
-            except queue_mod.Empty:
-                continue
-            self._handle_message(message)
-        # Final sweep so late answers still land during shutdown.
-        while True:
-            try:
-                message = self._response_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-            self._handle_message(message)
-
-    def _handle_message(self, message: tuple) -> None:
+    def _on_message(self, message: tuple, now: float) -> None:
         kind = message[0]
         if kind == "ready":
-            with self._lock:
-                slot = self._slots[message[1]]
-                if slot.state == STARTING:
-                    slot.state = LIVE
-                self._unpark_locked()
-            return
-        if kind == "fatal":
+            slot = self._slots[message[1]]
+            if slot.state == STARTING:
+                slot.state = LIVE
+            self._unpark(now)
+        elif kind == "fatal":
             self._fatal = str(message[2])
-            with self._lock:
-                self._slots[message[1]].state = FAILED
-            return
-        if kind == "bye":
-            with self._lock:
-                self._final_stats[message[1]] = message[2]
-                self._slots[message[1]].state = STOPPED
-            return
-        if kind in ("ok", "err"):
-            _, seq, worker_id, body = message
-            with self._lock:
-                entry = self._inflight.pop(seq, None)
-                for held in self._held:
-                    held.discard(seq)
-                if entry is None:
-                    return  # duplicate answer after a retry: first wins
-                if kind == "ok":
-                    self.stats.served += 1
-                else:
-                    self.stats.rejected += 1
-                    body = {"id": entry.payload.get("id"), "error": str(body)}
-            entry.future.set_result(body)
+            self._slots[message[1]].state = FAILED
+        elif kind == "bye":
+            self._final_stats[message[1]] = message[2]
+            self._slots[message[1]].state = STOPPED
+        else:  # "ok" or "err"
+            _, seq, _, body = message
+            entry = self._inflight.pop(seq, None)
+            if entry is None:
+                return  # duplicate answer after a retry: first wins
+            self._held[entry.worker_id].discard(seq)
+            if kind == "ok":
+                self.stats.served += 1
+            else:
+                self.stats.rejected += 1
+                body = {"id": entry.payload.get("id"), "error": str(body)}
+            _resolve(entry, body)
+            if self._parked:  # the answer freed a place
+                self._unpark(now)
 
-    def _monitor_loop(self) -> None:
-        """Liveness, deadlines and respawns, every poll interval."""
-        while not self._stop_event.is_set():
-            time.sleep(self.config.poll_interval_s)
-            now = time.monotonic()
-            with self._lock:
-                for slot, event in self._pool.check(now):
-                    if event == "respawned":
-                        self.stats.restarts += 1
-                    else:
-                        self._orphan_locked(slot, cause=event)
-                self._check_deadlines_locked(now)
-                self._unpark_locked()
-
-    def _orphan_locked(self, slot: Slot, cause: str) -> None:
+    def _orphan(self, slot: Slot, cause: str, now: float) -> None:
         """Re-dispatch a dead worker's requests to the survivors."""
         held = self._held[slot.sid]
         orphans = [self._inflight.pop(seq) for seq in sorted(held) if seq in self._inflight]
         held.clear()
-        self._queues[slot.sid].cancel_join_thread()
         for entry in orphans:
-            self._redispatch_locked(entry, exclude=slot.sid, cause=cause)
+            self._redispatch(entry, slot.sid, cause, now)
 
-    def _check_deadlines_locked(self, now: float) -> None:
-        for seq in list(self._inflight):
-            entry = self._inflight[seq]
-            if now < entry.deadline:
-                continue
-            del self._inflight[seq]
-            for held in self._held:
-                held.discard(seq)
+    def _check_deadlines(self, now: float) -> None:
+        for entry in [entry for entry in self._inflight.values() if now >= entry.deadline]:
+            del self._inflight[entry.seq]
+            self._held[entry.worker_id].discard(entry.seq)
             if entry.retried_on_timeout:
                 self.stats.deadline_misses += 1
-                entry.future.set_result(
-                    {"id": entry.payload.get("id"), "error": "deadline"}
-                )
+                _resolve(entry, {"id": entry.payload.get("id"), "error": "deadline"})
             else:
                 entry.retried_on_timeout = True
-                self._redispatch_locked(entry, exclude=entry.worker_id, cause="timeout")
+                self._redispatch(entry, entry.worker_id, "timeout", now)
 
-    def _redispatch_locked(self, entry: _Inflight, exclude: int, cause: str) -> None:
+    def _redispatch(self, entry: _Inflight, exclude: int, cause: str, now: float) -> None:
         """Give an orphaned/timed-out request to a different worker."""
         slot = self._pick_slot(exclude=exclude)
-        if slot is None:
-            if any(slot_.state in (STARTING, DYING, RESTARTING) for slot_ in self._slots):
-                self._parked.append(entry)
-                return
-            self.stats.failed += 1
-            entry.future.set_result(
-                {"id": entry.payload.get("id"), "error": f"no worker available ({cause})"}
-            )
-            return
-        self.stats.retried += 1
-        self._dispatch(entry, slot)
+        if slot is not None:
+            self.stats.retried += 1
+            self._dispatch(entry, slot, now)
+        elif any(slot_.state in (STARTING, DYING, RESTARTING) for slot_ in self._slots):
+            self._parked.append(entry)
+        else:
+            self._fail(entry, cause)
 
-    def _unpark_locked(self) -> None:
-        """Drain the parked list onto whatever workers are live now."""
-        still_parked: List[_Inflight] = []
-        for entry in self._parked:
+    def _fail(self, entry: _Inflight, cause: str) -> None:
+        self.stats.failed += 1
+        _resolve(entry, {"id": entry.payload.get("id"), "error": f"no worker available ({cause})"})
+
+    def _unpark(self, now: float) -> None:
+        """Move the parked list onto whatever workers are live now; fail
+        it once no worker can ever come back."""
+        parked, self._parked = self._parked, []
+        exhausted = all(slot.state == FAILED for slot in self._slots)
+        for entry in parked:
             slot = self._pick_slot(exclude=None)
-            if slot is None:
-                still_parked.append(entry)
-            else:
+            if slot is not None:
                 if entry.attempts > 0:
                     self.stats.retried += 1
-                self._dispatch(entry, slot)
-        self._parked = still_parked
+                self._dispatch(entry, slot, now)
+            elif exhausted:
+                self._fail(entry, "exhausted")
+            else:
+                self._parked.append(entry)
 
     # -- drain -------------------------------------------------------------
 
     def pending(self) -> int:
         """Requests accepted but not yet resolved."""
-        with self._lock:
-            return len(self._inflight) + len(self._parked)
+        return len(self._inflight) + len(self._parked)
 
-    def drain(self, timeout_s: float = 30.0) -> bool:
+    async def drain(self, timeout_s: float = 30.0) -> bool:
         """Stop accepting, finish in-flight work, stop the workers.
 
         Returns ``True`` when every accepted request resolved before the
-        timeout.  The pool is unusable afterwards.
+        timeout, as soon as the last one does.  Each worker is then told
+        to stop, and any not gone when the time is up is killed.  The
+        pool is unusable afterwards.
         """
         self._accepting = False
-        deadline = time.monotonic() + timeout_s
-        while self.pending() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        clean = self.pending() == 0
-        self.shutdown(timeout_s=max(2.0, deadline - time.monotonic()))
-        with self._lock:
-            leftovers = list(self._inflight.values()) + self._parked
-            self._inflight.clear()
-            self._parked = []
+        deadline = self._loop.time() + timeout_s
+        clean = await self._until(lambda: not self.pending(), timeout_s)
+        self._pool.stop()
+        for slot in self._slots:
+            if slot.state in (STARTING, LIVE):
+                self._links[slot.sid].send(("stop",))
+        await self._until(
+            lambda: not any(slot.alive() for slot in self._slots),
+            max(2.0, deadline - self._loop.time()),
+        )
+        self._pool.close(0.0)
+        self._arm(0.0, math.inf)
+        for slot, link in zip(self._slots, self._links):
+            if slot.process is not None:
+                self._loop.remove_reader(slot.process.sentinel)
+            if link is not None:
+                link.close()
+        leftovers = [*self._inflight.values(), *self._parked]
+        self._inflight, self._parked = {}, []
         for entry in leftovers:
-            clean = False
-            if not entry.future.done():
-                entry.future.set_result(
-                    {"id": entry.payload.get("id"), "error": "draining"}
-                )
-        return clean
-
-    def shutdown(self, timeout_s: float = 5.0) -> None:
-        """Stop workers and background threads (idempotent, no draining)."""
-        with self._lock:
-            # Under the lock, so no slot respawns after missing its stop.
-            self._pool.stop()
-            for slot in self._slots:
-                if slot.state in (STARTING, LIVE) and self._queues[slot.sid] is not None:
-                    self._queues[slot.sid].put(("stop",))
-        self._pool.close(timeout_s)
-        self._stop_event.set()
-        for thread in (self._collector, self._monitor):
-            if thread is not None and thread.is_alive():
-                thread.join(timeout=2.0)
-        self._collector = None
-        self._monitor = None
+            _resolve(entry, {"id": entry.payload.get("id"), "error": "draining"})
+        return clean and not leftovers
 
     def worker_service_stats(self) -> Dict[int, Dict[str, Any]]:
         """Per-worker ServiceStats reported at clean worker exit."""
-        with self._lock:
-            return {wid: dict(stats) for wid, stats in self._final_stats.items()}
+        return {wid: dict(stats) for wid, stats in self._final_stats.items()}
 
     def per_worker_stats(self) -> Dict[int, Dict[str, Any]]:
-        """Per-worker operational signals: state, queue depth, failures.
-
-        ``queue_depth`` is the worker's current in-flight count against
-        its bounded queue; ``restarts``/``shed`` are that slot's own
-        performed respawns and saturation counters.  Together these are
-        the per-worker load signals a worker-autoscaler needs.
-        """
-        with self._lock:
-            return {
-                slot.sid: {
-                    "state": slot.state,
-                    "queue_depth": len(self._held[slot.sid]),
-                    "restarts": slot.restarts,
-                    "shed": self._shed[slot.sid],
-                }
-                for slot in self._slots
+        """Per worker: state, requests held (``queue_depth``, at most
+        ``max_queue``), performed respawns and sheds — the load signals a
+        worker-autoscaler needs."""
+        return {
+            slot.sid: {
+                "state": slot.state,
+                "queue_depth": len(self._held[slot.sid]),
+                "restarts": slot.restarts,
+                "shed": self._shed[slot.sid],
             }
+            for slot in self._slots
+        }
 
     def stats_dict(self) -> Dict[str, Any]:
         """Pool counters plus per-worker states, JSON-ready."""
-        payload: Dict[str, Any] = dict(self.stats.as_dict())
-        payload["workers"] = {
-            str(wid): state for wid, state in self.worker_states().items()
+        return {
+            **self.stats.as_dict(),
+            "workers": {str(wid): state for wid, state in self.worker_states().items()},
+            "per_worker": {str(wid): stats for wid, stats in self.per_worker_stats().items()},
+            "pending": self.pending(),
         }
-        payload["per_worker"] = {
-            str(wid): stats for wid, stats in self.per_worker_stats().items()
-        }
-        payload["pending"] = self.pending()
-        return payload
+
+
+def _resolve(entry: _Inflight, body: Dict[str, Any]) -> None:
+    """Answer one accepted request, unless its caller gave up on it."""
+    if not entry.future.done():
+        entry.future.set_result(body)

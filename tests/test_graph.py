@@ -90,6 +90,33 @@ class TestContextFreeTask:
         assert failure.experiment_id == "fig2"
         assert failure.message.startswith("shared trace generation failed: ")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runner_never_warms_the_context_for_context_free_tasks(
+        self, jobs, week_output, tmp_path, monkeypatch
+    ):
+        from repro.experiments import runner as runner_mod
+
+        calls = []
+
+        def _counted(*args, **kwargs):
+            calls.append(args or kwargs)
+            raise DataError("the shared context was warmed")
+
+        monkeypatch.setattr(runner_mod, "get_context", _counted)
+        waves = []
+        original = runner_mod._run_wave_forked
+
+        def _spy(wave, *args, **kwargs):
+            waves.append([task.task_id for task in wave])
+            return original(wave, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_run_wave_forked", _spy)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        report = run_experiments_detailed(["ext-fleet"], days=7.0, jobs=jobs)
+        assert report.ok
+        assert calls == []
+        assert waves == ([["ext-fleet"]] if jobs > 1 else [])
+
 
 class TestCostModel:
     @pytest.fixture(autouse=True)

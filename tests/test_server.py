@@ -9,8 +9,9 @@ mid-run worker kill must lose zero accepted requests.
 
 import asyncio
 import json
+import pickle
+import socket
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -70,7 +71,6 @@ def pool_config(**overrides):
         max_queue=32,
         max_batch=4,
         max_horizon_ticks=MAX_HORIZON,
-        poll_interval_s=0.02,
         liveness_deadline_s=1.5,
         request_timeout_s=5.0,
         max_restarts=3,
@@ -117,20 +117,35 @@ class TestWorkerPoolConfig:
             pool_config(**kwargs)
 
 
+async def answer(future, timeout_s=30.0):
+    """A pool future's response, bounded so a wedged pool fails the test."""
+    return await asyncio.wait_for(future, timeout_s)
+
+
+def planned_payloads(dataset, prefix, n, ticks=MAX_HORIZON):
+    """``n`` planned ``ticks``-tick requests, as a controller sends them."""
+    inputs = np.tile(dataset.inputs[-1], (ticks, 1)).tolist()
+    return [{"id": f"{prefix}{i}", "inputs": inputs} for i in range(n)]
+
+
 class TestSupervisor:
     def test_byte_identical_to_single_process_then_clean_drain(self):
         payloads = [{"id": f"r{i}", "horizon_ticks": 4 + i % 3} for i in range(12)]
         supervisor = Supervisor(pool_config())
-        try:
-            supervisor.start()
-            assert supervisor.n_live == 2
-            futures = [supervisor.submit(dict(p)) for p in payloads]
-            answers = {
-                p["id"]: strip_latency(f.result(timeout=30))
-                for p, f in zip(payloads, futures)
-            }
-        finally:
-            clean = supervisor.drain(timeout_s=30.0)
+
+        async def _run():
+            try:
+                await supervisor.start()
+                assert supervisor.n_live == 2
+                futures = [supervisor.submit(dict(p)) for p in payloads]
+                answers = {
+                    p["id"]: strip_latency(await answer(f)) for p, f in zip(payloads, futures)
+                }
+            finally:
+                clean = await supervisor.drain(timeout_s=30.0)
+            return answers, clean
+
+        answers, clean = asyncio.run(_run())
         assert clean
         assert answers == expected_payloads(payloads)
         assert supervisor.stats.served == len(payloads)
@@ -143,25 +158,26 @@ class TestSupervisor:
     def test_worker_kill_mid_run_loses_no_accepted_requests(self):
         payloads = [{"id": f"k{i}", "horizon_ticks": 6} for i in range(30)]
         supervisor = Supervisor(pool_config())
-        try:
-            supervisor.start()
-            futures = [supervisor.submit(dict(p)) for p in payloads]
-            killed = supervisor.kill_worker()
-            assert killed is not None
-            answers = {
-                p["id"]: strip_latency(f.result(timeout=30))
-                for p, f in zip(payloads, futures)
-            }
-            # The restart counter moves only when the backoff timer
-            # respawns the slot: wait (bounded) for it to come back live.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if supervisor.worker_states()[killed] == "live":
-                    break
-                time.sleep(0.05)
-            assert supervisor.worker_states()[killed] == "live"
-        finally:
-            supervisor.drain(timeout_s=30.0)
+
+        async def _run():
+            try:
+                await supervisor.start()
+                futures = [supervisor.submit(dict(p)) for p in payloads]
+                killed = supervisor.kill_worker()
+                assert killed is not None
+                answers = {
+                    p["id"]: strip_latency(await answer(f)) for p, f in zip(payloads, futures)
+                }
+                # The restart counter moves only when the backoff timer
+                # respawns the slot: wait for it to come back live.
+                assert await supervisor._until(
+                    lambda: supervisor.worker_states()[killed] == "live", 30.0
+                )
+                return answers
+            finally:
+                await supervisor.drain(timeout_s=30.0)
+
+        answers = asyncio.run(_run())
         assert not any(slot.alive() for slot in supervisor._slots)
         # Every accepted request resolved with real predictions, and the
         # survivors' answers are byte-identical to the single process.
@@ -171,64 +187,120 @@ class TestSupervisor:
         assert supervisor.stats.failed == 0
         assert supervisor.stats.deadline_misses == 0
 
-    def test_restart_budget_exhausted_downgrades_to_survivors(self):
-        supervisor = Supervisor(pool_config(max_restarts=0))
-        try:
-            supervisor.start()
-            killed = supervisor.kill_worker()
-            assert killed is not None
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                states = supervisor.worker_states()
-                if states[killed] == "failed":
-                    break
-                time.sleep(0.05)
-            assert supervisor.worker_states()[killed] == "failed"
-            assert supervisor.n_live == 1
-            # The surviving worker keeps serving.
-            future = supervisor.submit({"id": "after-downgrade", "horizon_ticks": 4})
-            assert "predictions" in future.result(timeout=30)
-        finally:
-            supervisor.drain(timeout_s=30.0)
-        assert supervisor.stats.restarts == 0
-        assert supervisor.stats.served == 1
-
     def test_full_queues_shed_with_typed_overload_error(self):
         supervisor = Supervisor(pool_config(n_workers=1, max_queue=1))
-        try:
-            supervisor.start()
-            # Stall the only worker so the first request stays in flight.
-            supervisor.hang_worker(0.5)
-            first = supervisor.submit({"id": "held", "horizon_ticks": 4})
-            with pytest.raises(ServiceOverloadError):
-                supervisor.submit({"id": "shed-me", "horizon_ticks": 4})
-            assert supervisor.stats.shed == 1
-            # The shed is attributed to the saturated worker too.
-            assert supervisor.per_worker_stats()[0]["shed"] == 1
-            assert "predictions" in first.result(timeout=30)
-        finally:
-            supervisor.drain(timeout_s=30.0)
+
+        async def _run():
+            try:
+                await supervisor.start()
+                # Stall the only worker so the first request stays in flight.
+                supervisor.hang_worker(0.5)
+                first = supervisor.submit({"id": "held", "horizon_ticks": 4})
+                with pytest.raises(ServiceOverloadError):
+                    supervisor.submit({"id": "shed-me", "horizon_ticks": 4})
+                assert supervisor.stats.shed == 1
+                # The shed is attributed to the saturated worker too.
+                assert supervisor.per_worker_stats()[0]["shed"] == 1
+                assert "predictions" in await answer(first)
+            finally:
+                await supervisor.drain(timeout_s=30.0)
+
+        asyncio.run(_run())
 
     def test_per_worker_stats_report_depth_restarts_and_sheds(self):
         supervisor = Supervisor(pool_config(n_workers=1))
-        try:
-            supervisor.start()
-            # Stall the only worker so the in-flight count is observable.
-            supervisor.hang_worker(0.5)
-            future = supervisor.submit({"id": "pw", "horizon_ticks": 4})
-            per_worker = supervisor.per_worker_stats()
-            assert set(per_worker) == {0}
-            stats = per_worker[0]
-            assert set(stats) == {"state", "queue_depth", "restarts", "shed"}
-            assert stats["queue_depth"] == 1
-            assert stats["restarts"] == 0
-            assert stats["shed"] == 0
-            assert "predictions" in future.result(timeout=30)
-            payload = supervisor.stats_dict()
-            assert set(payload["per_worker"]) == {"0"}
-            assert payload["per_worker"]["0"]["state"] in ("live", "starting")
-        finally:
-            supervisor.drain(timeout_s=30.0)
+
+        async def _run():
+            try:
+                await supervisor.start()
+                # Stall the only worker so the in-flight count is observable.
+                supervisor.hang_worker(0.5)
+                future = supervisor.submit({"id": "pw", "horizon_ticks": 4})
+                per_worker = supervisor.per_worker_stats()
+                assert set(per_worker) == {0}
+                stats = per_worker[0]
+                assert set(stats) == {"state", "queue_depth", "restarts", "shed"}
+                assert stats["queue_depth"] == 1
+                assert stats["restarts"] == 0
+                assert stats["shed"] == 0
+                assert "predictions" in await answer(future)
+                payload = supervisor.stats_dict()
+                assert set(payload["per_worker"]) == {"0"}
+                assert payload["per_worker"]["0"]["state"] in ("live", "starting")
+            finally:
+                await supervisor.drain(timeout_s=30.0)
+
+        asyncio.run(_run())
+
+    def test_no_thread_before_while_serving_or_after_a_respawn(self):
+        supervisor = Supervisor(pool_config())
+
+        async def _run():
+            before = threading.active_count()
+            try:
+                await supervisor.start()
+                assert threading.active_count() == before
+                future = supervisor.submit({"id": "t0", "horizon_ticks": 4})
+                assert "predictions" in await answer(future)
+                assert threading.active_count() == before
+                killed = supervisor.kill_worker()
+                assert await supervisor._until(
+                    lambda: supervisor._slots[killed].restarts == 1
+                    and supervisor.worker_states()[killed] == "live",
+                    30.0,
+                )
+                future = supervisor.submit({"id": "t1", "horizon_ticks": 4})
+                assert "predictions" in await answer(future)
+                assert threading.active_count() == before
+            finally:
+                await supervisor.drain(timeout_s=30.0)
+            assert threading.active_count() == before
+
+        asyncio.run(_run())
+        assert supervisor.stats.restarts == 1
+
+    def test_a_hung_worker_with_a_full_pipe_does_not_stall_the_loop(self, dataset):
+        """About 100 planned 64-tick requests, half of them to a hung worker:
+        far more than its pipe holds, so a blocking write would stall the
+        loop until the worker woke.  The other worker's answers arrive
+        within one request timeout, and the hung worker's requests come
+        back through the timeout retry."""
+        timeout_s = 1.0
+        payloads = planned_payloads(dataset, "s", 100)
+        supervisor = Supervisor(
+            pool_config(max_queue=64, request_timeout_s=timeout_s, liveness_deadline_s=30.0)
+        )
+
+        async def _run():
+            try:
+                await supervisor.start()
+                hung = supervisor.hang_worker(2.0)
+                futures = {p["id"]: supervisor.submit(dict(p)) for p in payloads}
+                on_hung = {
+                    entry.payload["id"]
+                    for entry in supervisor._inflight.values()
+                    if entry.worker_id == hung
+                }
+                # More than a 64 KiB pipe buffer waits for the hung worker.
+                held_bytes = sum(
+                    len(pickle.dumps(("req", 0, p))) for p in payloads if p["id"] in on_hung
+                )
+                assert held_bytes > 65536
+                others = [f for rid, f in futures.items() if rid not in on_hung]
+                done, _ = await asyncio.wait(others, timeout=timeout_s)
+                assert len(done) == len(others) == len(payloads) - len(on_hung)
+                answers = {rid: strip_latency(await answer(f)) for rid, f in futures.items()}
+            finally:
+                clean = await supervisor.drain(timeout_s=30.0)
+            return answers, on_hung, clean
+
+        answers, on_hung, clean = asyncio.run(_run())
+        assert clean
+        assert len(on_hung) == len(payloads) // 2
+        assert answers == expected_payloads(payloads)
+        assert supervisor.stats.retried >= len(on_hung)
+        assert supervisor.stats.deadline_misses == 0
+        assert supervisor.stats.restarts == 0
 
 
 class TestUnbufferedSnapshot:
@@ -261,15 +333,20 @@ class TestUnbufferedSnapshot:
             for p in good
         }
         supervisor = Supervisor(pool_config(snapshot_name=self.NAME))
-        try:
-            supervisor.start()
-            futures = [supervisor.submit(dict(p)) for p in good[:2] + [bad] + good[2:]]
-            answers = [f.result(timeout=30) for f in futures]
-            # The pool survives: a later request on it is still answered.
-            after = supervisor.submit(dict(good[0], id="after")).result(timeout=30)
-            assert supervisor.n_live == 2
-        finally:
-            clean = supervisor.drain(timeout_s=30.0)
+
+        async def _run():
+            try:
+                await supervisor.start()
+                futures = [supervisor.submit(dict(p)) for p in good[:2] + [bad] + good[2:]]
+                answers = [await answer(f) for f in futures]
+                # The pool survives: a later request on it is still answered.
+                after = await answer(supervisor.submit(dict(good[0], id="after")))
+                assert supervisor.n_live == 2
+            finally:
+                clean = await supervisor.drain(timeout_s=30.0)
+            return answers, after, clean
+
+        answers, after, clean = asyncio.run(_run())
         assert clean
         rejected = answers.pop(2)
         assert rejected["id"] == "no-history"
@@ -335,6 +412,18 @@ class TestPredictionServer:
         # Graceful shutdown sealed the final named snapshot.
         assert server.final_snapshot_key is not None
         assert load_snapshot(final_name) is not None
+
+    def test_a_port_in_use_stops_the_workers_it_started(self):
+        # Workers ignore SIGINT/SIGTERM, so any left running would also
+        # hang this process's exit.
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            config = ServerConfig(port=taken.getsockname()[1], pool=pool_config())
+            server = PredictionServer(config)
+            with pytest.raises(OSError):
+                asyncio.run(server.start())
+        assert not any(slot.alive() for slot in server.supervisor._slots)
 
     def test_loadtest_with_injected_worker_kill_loses_nothing(self):
         config = ServerConfig(

@@ -255,6 +255,29 @@ class TestStop:
         assert not any(slot.alive() for slot in pool.slots)
 
 
+class TestWakeAfter:
+    """When the next timed :meth:`Pool.check` decision is due."""
+
+    def test_the_soonest_heartbeat_deadline_respawn_or_exit_grace(self):
+        pool = make_pool(n=3, liveness_deadline_s=3.0, backoff_s=0.5)
+        beating, crashed, exited = live(pool, 0), live(pool, 1), live(pool, 2)
+        beating.heartbeat.value = 1.0
+        assert pool.wake_after(1.0) == pytest.approx(2.0)  # slots 1 and 2 beat at 0
+        crashed.process.exitcode, exited.process.exitcode = 1, 0
+        assert pool.check(1.0) == [(crashed, "crash")]
+        assert pool.wake_after(1.0, [crashed]) == pytest.approx(0.5)
+        assert pool.wake_after(1.0, [exited]) == pytest.approx(supervise.EXIT_GRACE_S)
+        assert pool.wake_after(1.0, [beating]) == pytest.approx(3.0)
+        assert pool.wake_after(9.0, [beating]) == 0.0
+
+    def test_a_failed_or_stopped_slot_is_never_due(self):
+        pool = make_pool(n=2, liveness_deadline_s=3.0, max_restarts=0)
+        pool.slots[0].state, pool.slots[1].state = FAILED, STOPPED
+        assert pool.wake_after(100.0) is None
+        # An unbounded deadline (a runner task without a timeout) is never due.
+        assert make_pool(liveness_deadline_s=math.inf).wake_after(0.0) is None
+
+
 def test_die_flushes_the_queue_before_the_sigkill(monkeypatch):
     calls = []
     queue = SimpleNamespace(
