@@ -8,6 +8,7 @@ mid-run worker kill must lose zero accepted requests.
 """
 
 import asyncio
+import faulthandler
 import json
 import pickle
 import socket
@@ -294,7 +295,13 @@ class TestSupervisor:
                 clean = await supervisor.drain(timeout_s=30.0)
             return answers, on_hung, clean
 
-        answers, on_hung, clean = asyncio.run(_run())
+        # A loop blocked on the full pipe would deadlock with the worker
+        # once it wakes and writes answers: exit 1 then, rather than hang.
+        faulthandler.dump_traceback_later(120.0, exit=True)
+        try:
+            answers, on_hung, clean = asyncio.run(_run())
+        finally:
+            faulthandler.cancel_dump_traceback_later()
         assert clean
         assert len(on_hung) == len(payloads) // 2
         assert answers == expected_payloads(payloads)
